@@ -496,6 +496,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"chrkit: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except (RecursionError, ValueError) as exc:
+        # a library limit (say, a term nested deeper than the recursion
+        # limit) ends the command with a message, not a traceback
+        message = " ".join(str(exc).split())
+        print(f"chrkit: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,10 +1,16 @@
 """Built-in constraint store: conjunctions of equalities over finite trees.
 
 The built-in language is fixed to true, false and =. A store is either FAILED
-or a satisfiable conjunction, kept both as the list of equations conjoined so
-far and as an idempotent solved form. Entailment of existentially quantified
-equations is decided by unification against the solved form with every
-non-quantified variable frozen; for equality over finite trees this is exact.
+or a satisfiable conjunction. It keeps the equations conjoined so far and
+carries their triangular most general unifier (mgu): conjoin unifies only the
+new equations against the parent store's mgu, so a chain of n conjoins solves
+each equation once instead of re-solving the whole history at every step. A
+store built directly from an equation tuple computes its mgu lazily, from
+scratch. The idempotent solved form, which equivalence and analysis read, is
+computed on demand from the equations and cached. Entailment of existentially
+quantified equations is decided by unification of the query, instantiated
+through the mgu, with every non-quantified variable frozen; for equality over
+finite trees this is exact.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from .terms import (
     Var,
     apply_subst,
     rename_vars,
-    resolve,
     solved_form,
     unify,
     vars_of,
@@ -32,15 +37,35 @@ class Store:
 
     equations: tuple = ()
     failed: bool = False
+    # the mgu conjoin carried over from the parent store, if any
+    _mgu: Optional[dict] = field(default=None, compare=False, repr=False)
+    # the mgu of all equations unified in one pass, computed on demand
+    _scratch: Optional[dict] = field(default=None, compare=False, repr=False)
     _solved: Optional[dict] = field(default=None, compare=False, repr=False)
 
-    def solved(self) -> Subst:
+    def _scratch_mgu(self) -> Subst:
         if self.failed:
-            raise ValueError("failed store has no solved form")
-        if self._solved is None:
+            raise ValueError("failed store has no unifier")
+        if self._scratch is None:
             sub = unify([(e.lhs, e.rhs) for e in self.equations])
             assert sub is not None, "unsatisfiable store not marked failed"
-            object.__setattr__(self, "_solved", solved_form(sub))
+            object.__setattr__(self, "_scratch", sub)
+        return self._scratch
+
+    def mgu(self) -> Subst:
+        """A triangular most general unifier of the equations; read-only."""
+        return self._mgu if self._mgu is not None else self._scratch_mgu()
+
+    def solved(self) -> Subst:
+        """Idempotent solved form of the equations unified in one pass.
+
+        It is not derived from a carried mgu: which variable of a class the
+        mgu keeps unbound depends on how the equations were batched into
+        conjoins, and the termination checker's views (analysis._live_view)
+        show that choice.
+        """
+        if self._solved is None:
+            object.__setattr__(self, "_solved", solved_form(self._scratch_mgu()))
         return self._solved
 
 
@@ -53,10 +78,13 @@ def conjoin(store: Store, items: Iterable) -> Store:
     items = tuple(items)
     if store.failed or any(isinstance(i, FalseConstraint) for i in items):
         return FAILED
-    eqs = store.equations + tuple(i for i in items if isinstance(i, Equation))
-    if unify([(e.lhs, e.rhs) for e in eqs]) is None:
+    new = tuple(i for i in items if isinstance(i, Equation))
+    if not new:
+        return store
+    sub = unify([(e.lhs, e.rhs) for e in new], base=store.mgu())
+    if sub is None:
         return FAILED
-    return Store(eqs)
+    return Store(store.equations + new, _mgu=sub)
 
 
 def satisfiable(store: Store) -> bool:
@@ -71,8 +99,7 @@ def entailment_witness(store: Store, exvars, eqs: Sequence[Equation]):
     """
     if store.failed:
         return {}
-    sigma = store.solved()
-    inst = [apply_subst(e, sigma) for e in eqs]
+    inst = [apply_subst(e, store.mgu()) for e in eqs]
     exvars = frozenset(exvars)
     frozen = frozenset(vars_of(inst)) - exvars
     sub = unify([(e.lhs, e.rhs) for e in inst], frozen=frozen, prefer=exvars)

@@ -159,10 +159,17 @@ def rename_vars(obj, mapping: Subst):
 
 
 def occurs_in(v: Var, t: Term, sub: Subst) -> bool:
-    t = walk(t, sub)
-    if isinstance(t, Var):
-        return v == t
-    return any(occurs_in(v, a, sub) for a in t.args)
+    # explicit stack: terms reached through a triangular substitution can be
+    # deeper than the interpreter's recursion limit
+    stack = [t]
+    while stack:
+        t = walk(stack.pop(), sub)
+        if isinstance(t, Var):
+            if t == v:
+                return True
+        else:
+            stack.extend(t.args)
+    return False
 
 
 def unify(pairs, frozen=frozenset(), prefer=frozenset(), base: Optional[Subst] = None):
@@ -224,7 +231,12 @@ def match_oneway(pattern: Term, target: Term, frozen=None):
 
 def solved_form(sub: Subst) -> Subst:
     """Idempotent version of a triangular substitution."""
-    return {v: resolve(v, sub) for v in sub if resolve(v, sub) != v}
+    out: Subst = {}
+    for v in sub:
+        t = resolve(v, sub)
+        if t != v:
+            out[v] = t
+    return out
 
 
 class FreshSupply:

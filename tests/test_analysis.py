@@ -25,6 +25,17 @@ def test_trivial_self_loop_diverges():
     assert report.cycle.repeat_depth == 1
 
 
+def test_cycle_witness_does_not_depend_on_how_the_store_was_built():
+    # the store is built by several conjoins; the live views read the solved
+    # form of its equations unified in one pass, under which the first step
+    # already repeats the goal's view
+    p = parse_program("r1 @ s(W) <=> s(W), f(f(b))=Y.")
+    report = check_normal_termination(p, parse_goal("s(W), r(Y, X), W=X"))
+    assert report.status == "diverges"
+    assert report.cycle.trace == (("r1", (1,)),)
+    assert (report.cycle.first_depth, report.cycle.repeat_depth) == (0, 1)
+
+
 def test_propositional_self_loop_diverges():
     p = parse_program("r @ p <=> p.")
     assert check_normal_termination(p, parse_goal("p")).status == "diverges"

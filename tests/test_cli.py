@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import chrkit.cli
 from chrkit.cli import main
 
 from conftest import FIXTURES
@@ -248,3 +249,29 @@ def test_verify_truncation_exit(tmp_path, capsys):
         "--max-depth", "1", "--witness-dir", str(tmp_path / "w"),
     )
     assert code == 3
+
+
+def test_deep_terms_end_with_an_exit_code_not_a_traceback(tmp_path, capsys):
+    prog = tmp_path / "copy.chr"
+    prog.write_text(
+        "r @ p(s(X), Y) <=> Y = s(Z), p(X, Z), d(Z).\nz @ p(z, Y) <=> Y = z.\n"
+    )
+    depth = 400
+    code, out, err = run_cli(
+        capsys, "run", str(prog), "--max-depth", str(depth + 1),
+        "--goal", f"p({'s(' * depth}z{')' * depth}, N)",
+    )
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("chrkit: ") and err.count("\n") == 1
+
+
+def test_library_errors_become_one_line_messages(monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("first line\nsecond line")
+
+    monkeypatch.setattr(chrkit.cli, "cmd_parse", broken)
+    code, out, err = run_cli(capsys, "parse", fx("mau"))
+    assert code == 1
+    assert err == "chrkit: ValueError: first line second line\n"

@@ -1,8 +1,12 @@
 """Built-in store operations checked against the frozen brute-force oracles."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import functools
 
+from hypothesis import example, given, settings, strategies as st
+
+import chrkit.constraints
+import chrkit.semantics
 from chrkit.constraints import (
     FAILED,
     TRUE,
@@ -18,6 +22,8 @@ from chrkit.constraints import (
     satisfiable,
     stores_equivalent,
 )
+from chrkit.semantics.search import qualified_answers
+from chrkit.syntax import parse_goal, parse_program
 from chrkit.terms import Compound, Equation, Var, const, vars_of
 
 from oracles import (
@@ -179,7 +185,29 @@ inner_terms_st = st.recursive(
     max_leaves=2,
 )
 
-UNIVERSE = universe(depth=3)
+
+
+def _depth(t):
+    if isinstance(t, Var) or not t.args:
+        return 0
+    return 1 + max(_depth(s) for s in t.args)
+
+
+@functools.lru_cache(maxsize=None)
+def _universe(depth):
+    return universe(depth=depth)
+
+
+def universe_for(*eq_lists):
+    """A ground universe deep enough for the oracles on this instance.
+
+    The oracles enumerate X and Y over a finite universe, so a store whose
+    only solutions lie deeper (X = f(f(Y)), Y = f(f(a)) at depth 3) reads
+    as unsatisfiable there and entails everything. Solutions of the store
+    nest no deeper than all the instance's terms stacked on one another.
+    """
+    total = sum(_depth(e.lhs) + _depth(e.rhs) for eqs in eq_lists for e in eqs)
+    return _universe(max(3, total + 1))
 
 
 @settings(deadline=None)
@@ -188,9 +216,11 @@ UNIVERSE = universe(depth=3)
     st.lists(st.builds(Equation, inner_terms_st, inner_terms_st),
              min_size=1, max_size=2),
 )
+@example([eq(X, f(f(Y))), eq(Y, f(f(a)))], [eq(X, Y)])
 def test_entailment_matches_oracle(store_eqs, query):
     got = entails_exists(conjoin(TRUE, store_eqs), {Z, W}, query)
-    want = oracle_entails(store_eqs, {Z, W}, query, terms=UNIVERSE)
+    want = oracle_entails(store_eqs, {Z, W}, query,
+                          terms=universe_for(store_eqs, query))
     assert got == want
 
 
@@ -207,5 +237,114 @@ def test_store_equivalence_matches_oracle(eqs_a, eqs_b):
         return
     keep = vars_of(tuple(eqs_a)) | vars_of(tuple(eqs_b))
     got = stores_equivalent(sa, sb)
-    want = oracle_equivalent(eqs_a, eqs_b, keep, terms=UNIVERSE)
+    want = oracle_equivalent(eqs_a, eqs_b, keep,
+                            terms=universe_for(eqs_a, eqs_b))
     assert got == want
+
+
+# ------------------------------------------- incremental store vs scratch
+
+
+def g(s, t):
+    return Compound("g", (s, t))
+
+
+batch_terms_st = st.recursive(
+    st.sampled_from(VARS + (a, b)),
+    lambda inner: st.one_of(st.builds(f, inner), st.builds(g, inner, inner)),
+    max_leaves=2,
+)
+# mostly variable bindings, so that batches stay satisfiable on their own
+# and interact with one another
+batch_eqs_st = st.lists(
+    st.one_of(
+        st.builds(Equation, st.sampled_from(VARS), batch_terms_st),
+        st.builds(Equation, batch_terms_st, batch_terms_st),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(batch_eqs_st, min_size=2, max_size=4),
+    st.lists(batch_eqs_st, min_size=1, max_size=3),
+    st.sets(st.sampled_from(VARS)),
+)
+def test_incremental_store_matches_solving_from_scratch(batches, queries, exvars):
+    # one conjoin per batch: each extends the parent's carried unifier
+    inc = TRUE
+    for batch in batches:
+        inc = conjoin(inc, batch)
+    scratch = conjoin(TRUE, [e for batch in batches for e in batch])
+    assert inc.failed == scratch.failed
+    assert stores_equivalent(inc, scratch)
+    if not inc.failed:
+        assert inc.equations == scratch.equations
+    for query in queries:
+        assert entails_exists(inc, exvars, query) == entails_exists(
+            scratch, exvars, query
+        )
+
+
+def _linked(n):
+    xs = [Var(f"X{i}") for i in range(n + 1)]
+    return [eq(xs[i], f(xs[i + 1])) for i in range(n)]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+def test_conjoining_a_thousand_linked_equations_does_not_recurse(order):
+    # backward, each occurs check walks the whole chain built so far
+    s = TRUE
+    for e in _linked(1000)[::order]:
+        s = conjoin(s, [e])
+    assert satisfiable(s)
+    assert len(s.equations) == 1000
+    assert not satisfiable(conjoin(s, [eq(Var("X1000"), Var("X0"))]))
+
+
+COPY = parse_program(
+    "r @ p(s(X), Y) <=> Y = s(Z), p(X, Z), d(Z).\n"
+    "z @ p(z, Y) <=> Y = z.\n"
+)
+
+
+@pytest.mark.parametrize("semantics", ["annotated", "standard"])
+def test_conjoin_unifies_each_equation_once(monkeypatch, semantics):
+    """Work gate: conjoin passes unify only the equations it is given.
+
+    Peano copy of depth n fires n times r and once z; every firing conjoins
+    its two head equations and solves its one body equation, so 3(n+1)
+    equations are conjoined along the single branch. Re-solving the history
+    at every step would pass unify on the order of n^2 pairs instead.
+    """
+    depth = 40
+    real_unify, real_conjoin = chrkit.constraints.unify, chrkit.constraints.conjoin
+    inside = [False]
+    pairs = [0]
+    conjoined = [0]
+
+    def counting_unify(eq_pairs, *args, **kwargs):
+        eq_pairs = list(eq_pairs)
+        if inside[0]:
+            pairs[0] += len(eq_pairs)
+        return real_unify(eq_pairs, *args, **kwargs)
+
+    def counting_conjoin(store, items):
+        items = tuple(items)
+        conjoined[0] += sum(isinstance(i, Equation) for i in items)
+        inside[0] = True
+        try:
+            return real_conjoin(store, items)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(chrkit.constraints, "unify", counting_unify)
+    module = getattr(chrkit.semantics, semantics)
+    monkeypatch.setattr(module, "conjoin", counting_conjoin)
+    goal = parse_goal(f"p({'s(' * depth}z{')' * depth}, N)")
+    ans = qualified_answers(COPY, goal, semantics=semantics, max_applies=depth + 1)
+    assert len(ans.answers) == 1 and not ans.truncated
+    assert conjoined[0] == 3 * (depth + 1)
+    assert pairs[0] == conjoined[0]

@@ -1,13 +1,17 @@
 """Verifiers built on the fused-store search.
 
-All three checkers are bounded: they explore derivation trees up to the
-given budgets and answer definitely only when the exploration was
-exhaustive. Cycle detection compares states through a live view: the store's
-bindings are resolved into the atoms, and the built-in store is restricted
-to the variables still reachable from the goal or the atoms. A branch that
-repeats an ancestor's view (modulo renaming away from the goal variables)
-can be replayed forever, since rule applicability only ever consults that
-part of the state.
+All three checkers are bounded: they walk derivation trees with the
+search's one ``Walk`` up to the given budgets and answer definitely only
+when the exploration was exhaustive. ``verify`` runs three tree searches
+per goal: termination here, and the answer sets of both semantics; the
+fused-store answer set also gives confluence (``confluence_of``).
+
+Cycle detection compares states through a live view: the store's bindings
+are resolved into the atoms, and the built-in store is restricted to the
+variables still reachable from the goal or the atoms. A branch that repeats
+an ancestor's view (modulo renaming away from the goal variables) can be
+replayed forever, since rule applicability only ever consults that part of
+the state.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from .equivalence import states_equivalent_mod
 from .semantics import annotated
 from .semantics.search import (
     AnswerSet,
-    _fit_program,
+    Walk,
     final_states_equivalent,
+    fit_program,
     qualified_answers,
 )
 from .syntax import IdAtom, print_item
@@ -36,12 +41,6 @@ def _live_view(atoms, builtins: Store, tokens, goal_vars):
         )
     keep = set(goal_vars) | vars_of(atoms)
     return atoms, Store(project(builtins, keep)), tokens
-
-
-def _views_equivalent(va, vb, goal_vars) -> bool:
-    return states_equivalent_mod(
-        va[0], va[1], va[2], vb[0], vb[1], vb[2], goal_vars
-    )
 
 
 @dataclass
@@ -69,39 +68,28 @@ def check_normal_termination(
     live restriction) witnesses divergence. Exhaustive exploration without a
     repeat proves termination; hitting a budget leaves the question open.
     """
-    program = _fit_program(program, "annotated")
+    program = fit_program(program, "annotated")
     goal_vars = frozenset(vars_of(tuple(goal)))
     fresh = FreshSupply("_R")
-    expanded = 0
-    truncated = False
-    stack = [(annotated.initial(goal), (), 0, ())]
-    while stack:
-        cfg, history, applies, trace = stack.pop()
-        expanded += 1
-        if expanded > max_states:
-            truncated = True
-            break
+    walk = Walk((annotated.initial(goal), (), ()), max_applies, max_states)
+    for (cfg, history, trace), depth in walk:
         cfg, _ = annotated.drain(cfg)
         if cfg.failed:
             continue
         view = _live_view(annotated.chr_atoms(cfg), cfg.builtins, cfg.tokens, goal_vars)
-        for depth, old in enumerate(history):
-            if _views_equivalent(old, view, goal_vars):
+        for first, old in enumerate(history):
+            if states_equivalent_mod(*old, *view, goal_vars):
                 return TerminationReport(
-                    "diverges", Cycle(trace, depth, applies), expanded, truncated
+                    "diverges", Cycle(trace, first, depth), walk.expanded,
+                    walk.truncated,
                 )
-        succ = annotated.successors(program, cfg, fresh)
-        if not succ:
-            continue
-        if applies >= max_applies:
-            truncated = True
-            continue
-        for firing, child in reversed(succ):
-            step = (firing.rule.name, firing.idents)
-            stack.append((child, history + (view,), applies + 1, trace + (step,)))
-    if truncated:
-        return TerminationReport("unknown", None, expanded, True)
-    return TerminationReport("terminates", None, expanded, False)
+        walk.expand(depth, [
+            (child, history + (view,), trace + ((firing.rule.name, firing.idents),))
+            for firing, child in annotated.successors(program, cfg, fresh)
+        ])
+    if walk.truncated:
+        return TerminationReport("unknown", None, walk.expanded, True)
+    return TerminationReport("terminates", None, walk.expanded, False)
 
 
 @dataclass
@@ -112,15 +100,9 @@ class ConfluenceReport:
     truncated: bool
 
 
-def check_normal_confluence(
-    program, goal, max_applies: int = 30, max_states: int = 5000
-) -> ConfluenceReport:
-    """Are all terminal states of normal derivations from the goal pairwise
+def confluence_of(ans: AnswerSet) -> ConfluenceReport:
+    """Are all terminal states in the (fused-store) answer set pairwise
     equivalent modulo renaming away from the goal variables?"""
-    ans = qualified_answers(
-        program, goal, semantics="annotated",
-        max_applies=max_applies, max_states=max_states,
-    )
     classes = len(ans.finals)
     if classes > 1:
         return ConfluenceReport(
@@ -130,6 +112,17 @@ def check_normal_confluence(
     if ans.truncated:
         return ConfluenceReport("unknown", classes, None, True)
     return ConfluenceReport("confluent", classes, None, False)
+
+
+def check_normal_confluence(
+    program, goal, max_applies: int = 30, max_states: int = 5000
+) -> ConfluenceReport:
+    """Are all terminal states of normal derivations from the goal pairwise
+    equivalent modulo renaming away from the goal variables?"""
+    return confluence_of(qualified_answers(
+        program, goal, semantics="annotated",
+        max_applies=max_applies, max_states=max_states,
+    ))
 
 
 @dataclass
@@ -152,44 +145,38 @@ def probe_solve_orders(
     reports the loop. The probe is a bug finder: exhausting the budgets
     without a hit does not certify termination of every strategy.
     """
-    program = _fit_program(program, "annotated")
+    program = fit_program(program, "annotated")
     goal_vars = frozenset(vars_of(tuple(goal)))
     fresh = FreshSupply("_R")
-    expanded = 0
-    truncated = False
-    stack = [(annotated.initial(goal), (), 0, 0, ())]
-    while stack:
-        cfg, history, steps, applies, trace = stack.pop()
-        expanded += 1
-        if expanded > max_states:
-            truncated = True
-            break
+    walk = Walk((annotated.initial(goal), (), 0, ()), max_steps, max_states)
+    for (cfg, history, applies, trace), steps in walk:
         if cfg.failed:
             continue
+        # checked before the children are built: at the budget even a leaf
+        # truncates, and no cycle check runs beyond it
         if steps >= max_steps:
-            truncated = True
+            walk.truncated = True
             continue
         children = []
         for i in annotated.solve_indices(cfg):
             label = ("solve", print_item(cfg.store[i]))
-            children.append((annotated.solve_at(cfg, i), history, label, applies))
+            children.append((annotated.solve_at(cfg, i), history, applies, trace + (label,)))
         for firing, child in annotated.successors(program, cfg, fresh):
             label = ("apply", firing.rule.name, firing.idents)
             view = _live_view(
                 annotated.chr_atoms(child), child.builtins, child.tokens, goal_vars
             )
-            for depth, old in enumerate(history):
-                if _views_equivalent(old, view, goal_vars):
+            for first, old in enumerate(history):
+                if states_equivalent_mod(*old, *view, goal_vars):
                     return ProbeReport(
                         True,
-                        Cycle(trace + (label,), depth, applies + 1),
-                        expanded,
-                        truncated,
+                        Cycle(trace + (label,), first, applies + 1),
+                        walk.expanded,
+                        walk.truncated,
                     )
-            children.append((child, history + (view,), label, applies + 1))
-        for child, hist, label, app in reversed(children):
-            stack.append((child, hist, steps + 1, app, trace + (label,)))
-    return ProbeReport(False, None, expanded, truncated)
+            children.append((child, history + (view,), applies + 1, trace + (label,)))
+        walk.expand(steps, children)
+    return ProbeReport(False, None, walk.expanded, walk.truncated)
 
 
 @dataclass

@@ -11,15 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
-from .analysis import (
-    check_normal_confluence,
-    check_normal_termination,
-    diff_answer_sets,
-)
+from .analysis import check_normal_termination, confluence_of, diff_answer_sets
 from .replace import check_replacement, replace_rule
 from .semantics import qualified_answers
 from .syntax import (
@@ -135,12 +130,13 @@ def cmd_annotate(args) -> int:
 def cmd_run(args) -> int:
     program = _load_program(args.program)
     goals = _load_goals(args)
+    semantics = _SEMANTICS_ALIASES[args.semantics]
     code = EXIT_OK
     for text, goal in goals:
         answers = qualified_answers(
             program,
             goal,
-            semantics=args.semantics,
+            semantics=semantics,
             max_applies=args.max_depth,
             max_states=args.max_states,
         )
@@ -150,7 +146,7 @@ def cmd_run(args) -> int:
                 {
                     "cmd": "run",
                     "goal": text,
-                    "semantics": args.semantics,
+                    "semantics": semantics,
                     "answers": list(answers.texts),
                     "truncated": answers.truncated,
                 },
@@ -343,9 +339,6 @@ def cmd_verify(args) -> int:
         term = check_normal_termination(
             program, goal, max_applies=args.max_depth, max_states=args.max_states
         )
-        conf = check_normal_confluence(
-            program, goal, max_applies=args.max_depth, max_states=args.max_states
-        )
         std = qualified_answers(
             program, goal, semantics="standard",
             max_applies=args.max_depth, max_states=args.max_states,
@@ -354,6 +347,7 @@ def cmd_verify(args) -> int:
             program, goal, semantics="annotated",
             max_applies=args.max_depth, max_states=args.max_states,
         )
+        conf = confluence_of(ann)
         diff = diff_answer_sets(std, ann)
         qa_equal = "yes" if diff.equal else "NO"
         witnesses = []
@@ -414,13 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, goals=False):
         p.add_argument("program", help="path to a .chr file")
-        p.add_argument(
-            "--semantics",
-            default="annotated",
-            choices=sorted(_SEMANTICS_ALIASES),
-            help="standard (two-store) or annotated (fused store); "
-            "wt and wt-prime are accepted as aliases",
-        )
         p.add_argument("--max-depth", type=int, default=12,
                        help="rule application budget per derivation")
         p.add_argument("--max-states", type=int, default=10000,
@@ -445,6 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="print the answers for each goal")
     common(p, goals=True)
+    p.add_argument(
+        "--semantics",
+        default="annotated",
+        choices=sorted(_SEMANTICS_ALIASES),
+        help="standard (two-store) or annotated (fused store); "
+        "wt and wt-prime are accepted as aliases",
+    )
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("unfold", help="list unfolded versions of a rule")
@@ -488,9 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "semantics"):
-        args.semantics = _SEMANTICS_ALIASES[args.semantics]
-    random.seed(args.seed)
     try:
         return args.func(args)
     except CliError as exc:

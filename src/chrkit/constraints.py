@@ -15,6 +15,7 @@ finite trees this is exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -42,6 +43,13 @@ class Store:
     # the mgu of all equations unified in one pass, computed on demand
     _scratch: Optional[dict] = field(default=None, compare=False, repr=False)
     _solved: Optional[dict] = field(default=None, compare=False, repr=False)
+    _vars: Optional[frozenset] = field(default=None, compare=False, repr=False)
+
+    def variables(self) -> frozenset:
+        """The variables of the equations; conjoin extends the parent's."""
+        if self._vars is None:
+            object.__setattr__(self, "_vars", frozenset(vars_of(self.equations)))
+        return self._vars
 
     def _scratch_mgu(self) -> Subst:
         if self.failed:
@@ -84,7 +92,7 @@ def conjoin(store: Store, items: Iterable) -> Store:
     sub = unify([(e.lhs, e.rhs) for e in new], base=store.mgu())
     if sub is None:
         return FAILED
-    return Store(store.equations + new, _mgu=sub)
+    return Store(store.equations + new, _mgu=sub, _vars=store.variables() | vars_of(new))
 
 
 def satisfiable(store: Store) -> bool:
@@ -96,16 +104,33 @@ def entailment_witness(store: Store, exvars, eqs: Sequence[Equation]):
 
     Returns the witness substitution (bindings for exvars only) when the
     entailment holds, else None. A failed store entails everything.
+
+    The quantifier binds its variables apart from the store's: an exvar that
+    also occurs in the store is renamed to a fresh variable for the check,
+    and the witness is given back in the caller's names.
     """
     if store.failed:
         return {}
-    inst = [apply_subst(e, store.mgu()) for e in eqs]
     exvars = frozenset(exvars)
+    clash = exvars and exvars & store.variables()
+    back: Subst = {}
+    if clash:
+        taken = store.variables() | vars_of(eqs)
+        names = (Var(f"_E{i}") for i in itertools.count(1))
+        fresh = (v for v in names if v not in taken)
+        rename = {v: next(fresh) for v in sorted(clash, key=lambda v: v.name)}
+        back = {w: v for v, w in rename.items()}
+        eqs = rename_vars(tuple(eqs), rename)
+        exvars = (exvars - clash) | frozenset(back)
+    inst = [apply_subst(e, store.mgu()) for e in eqs]
     frozen = frozenset(vars_of(inst)) - exvars
     sub = unify([(e.lhs, e.rhs) for e in inst], frozen=frozen, prefer=exvars)
     if sub is None:
         return None
-    return solved_form(sub)
+    witness = solved_form(sub)
+    if back:
+        witness = {back.get(v, v): rename_vars(t, back) for v, t in witness.items()}
+    return witness
 
 
 def entails_exists(store: Store, exvars, eqs: Sequence[Equation]) -> bool:

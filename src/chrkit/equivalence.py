@@ -1,12 +1,12 @@
 """Equivalence checks between execution states.
 
-Three gradations are used throughout the toolkit:
+Two gradations are used throughout the toolkit:
 
-* ``states_equivalent``: identical user-constraint stores (identifiers
-  ignored), equivalent built-in stores, and equal cleaned token stores.
-* ``states_equivalent_mod``: like the above but modulo a bijective renaming
-  of the variables outside a protected set and of the atom identifiers.
-  This is the comparison used for answers, cycle detection and confluence.
+* ``states_equivalent_mod``: equal user-constraint stores, equivalent
+  built-in stores and equal cleaned token stores, modulo a bijective
+  renaming of the variables outside a protected set and of the atom
+  identifiers. This is the comparison used for answers, cycle detection and
+  confluence.
 * ``configs_correspond``: the structural correspondence between a state of
   the two-store semantics (goal kept separate) and one of the fused-store
   semantics, used by the lockstep runner.
@@ -115,20 +115,6 @@ def _stores_equivalent_mod(sa: Store, sb: Store, rho, fixed) -> bool:
 
 def _shape_key(a: IdAtom):
     return (a.atom.functor, len(a.atom.args))
-
-
-def states_equivalent(chr_a, builtins_a, tokens_a, chr_b, builtins_b, tokens_b) -> bool:
-    """Strict comparison: equal atom multisets, equivalent built-in stores,
-    equal cleaned token stores (identifiers compared literally)."""
-    if builtins_a.failed or builtins_b.failed:
-        return builtins_a.failed and builtins_b.failed
-    ma = sorted((a.atom for a in chr_a), key=repr)
-    mb = sorted((b.atom for b in chr_b), key=repr)
-    if ma != mb:
-        return False
-    if clean_tokens(tokens_a, chr_a) != clean_tokens(tokens_b, chr_b):
-        return False
-    return stores_equivalent(builtins_a, builtins_b)
 
 
 def states_equivalent_mod(

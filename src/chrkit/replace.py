@@ -43,14 +43,6 @@ class Hazard:
     detail: str
 
 
-def unfoldable_pairs(program: Program, target_index: int) -> List[Tuple[int, tuple]]:
-    """(source rule index, identifier sequence) for every unfold site of the
-    target rule."""
-    return [
-        (s.source_index, s.idents) for s in unfold_sites(program, target_index)
-    ]
-
-
 def _head_fits(atom: IdAtom, head) -> bool:
     return atom.atom.functor == head.functor and len(atom.atom.args) == len(head.args)
 
@@ -72,7 +64,7 @@ def deletion_hazards(program: Program, target_index: int) -> List[Hazard]:
     body_atoms = sorted(
         (b for b in r.body if isinstance(b, IdAtom)), key=lambda a: a.ident
     )
-    covered = set(unfoldable_pairs(program, target_index))
+    covered = {(s.source_index, s.idents) for s in unfold_sites(program, target_index)}
     out: List[Hazard] = []
     for si, source in enumerate(program.rules):
         v, _ = rename_apart(source, fresh=FreshSupply("_H"))
@@ -150,7 +142,7 @@ def check_replacement(program: Program, target_index: int, mode: str = "safe") -
     """Decide whether the target rule may be replaced by its unfolded
     versions under the strict or the weak criterion."""
     r = program.rules[target_index]
-    sites = unfoldable_pairs(program, target_index)
+    sites = [(s.source_index, s.idents) for s in unfold_sites(program, target_index)]
     unfolded = unfold_all(program, target_index)
     reasons: List[str] = []
     if mode == "safe":

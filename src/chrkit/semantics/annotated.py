@@ -108,6 +108,3 @@ def drain(cfg: Config):
 def chr_atoms(cfg: Config) -> tuple:
     return tuple(x for x in cfg.store if isinstance(x, IdAtom))
 
-
-def pending_builtins(cfg: Config) -> tuple:
-    return tuple(x for x in cfg.store if isinstance(x, (Equation, FalseConstraint)))

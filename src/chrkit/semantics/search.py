@@ -7,9 +7,11 @@ points. Answers are read off the terminal states: failure collapses to
 built-in store restricted to the variables worth showing. Terminal states
 are deduplicated modulo renaming away from the goal variables.
 
-Budgets make every search total: ``max_applies`` bounds the firing depth of
-a branch and ``max_states`` the number of expanded nodes. Exceeding either
-sets the ``truncated`` flag instead of producing wrong answers.
+Every search here and in ``analysis`` is a loop body over one ``Walk``, a
+depth-first walk of the derivation tree. Budgets make every search total:
+``max_applies`` bounds the firing depth of a branch and ``max_states`` the
+number of expanded nodes. Exceeding either sets the ``truncated`` flag
+instead of producing wrong answers.
 """
 
 from __future__ import annotations
@@ -26,15 +28,52 @@ from . import annotated, standard
 _MODES = {"standard": standard, "annotated": annotated}
 
 
+class Walk:
+    """Depth-first walk from a root node under a depth and a state budget.
+
+    Iterating yields ``(node, depth)``, first children first. Each node
+    yielded counts in ``expanded``; the walk stops with ``truncated`` set
+    instead of yielding node ``max_states + 1``. The loop body hands a
+    node's children back through ``expand``.
+    """
+
+    def __init__(self, root, max_depth: int, max_states: int):
+        self.stack = [(root, 0)]
+        self.max_depth = max_depth
+        self.max_states = max_states
+        self.expanded = 0
+        self.truncated = False
+
+    def __iter__(self):
+        while self.stack:
+            node, depth = self.stack.pop()
+            self.expanded += 1
+            if self.expanded > self.max_states:
+                self.truncated = True
+                return
+            yield node, depth
+
+    def expand(self, depth: int, children) -> bool:
+        """Queue the children of a node at ``depth``, one level deeper.
+
+        A node at the depth budget that has children sets ``truncated``
+        instead. Returns whether the children were queued.
+        """
+        if not children:
+            return False
+        if depth >= self.max_depth:
+            self.truncated = True
+            return False
+        self.stack.extend((child, depth + 1) for child in reversed(children))
+        return True
+
+
 @dataclass(frozen=True)
 class FinalState:
     atoms: tuple
     builtins: Store
     tokens: frozenset
     failed: bool
-    solve_count: int
-    apply_count: int
-    rule_trace: tuple
 
 
 @dataclass
@@ -45,7 +84,9 @@ class ExploreResult:
     goal_vars: frozenset
 
 
-def _fit_program(program, semantics: str):
+def fit_program(program, semantics: str):
+    """The program in the form the semantics reads: annotated for the fused
+    store, plain for the two-store reading."""
     if semantics == "annotated":
         return program if program.annotated else annotate(program)
     return strip_annotations(program) if program.annotated else program
@@ -58,29 +99,18 @@ def explore(
     max_applies: int = 30,
     max_states: int = 5000,
     dedup: bool = True,
-    fresh: Optional[FreshSupply] = None,
 ) -> ExploreResult:
     mod = _MODES[semantics]
-    program = _fit_program(program, semantics)
-    fresh = fresh or FreshSupply("_R")
+    program = fit_program(program, semantics)
+    fresh = FreshSupply("_R")
     goal_vars = frozenset(vars_of(tuple(goal)))
     finals: List[FinalState] = []
-    truncated = False
-    expanded = 0
     visited: List = []
-    stack = [(mod.initial(goal), 0, 0, ())]
-    while stack:
-        cfg, solves, applies, trace = stack.pop()
-        expanded += 1
-        if expanded > max_states:
-            truncated = True
-            break
-        cfg, n = mod.drain(cfg)
-        solves += n
+    walk = Walk(mod.initial(goal), max_applies, max_states)
+    for cfg, depth in walk:
+        cfg, _ = mod.drain(cfg)
         if cfg.failed:
-            finals.append(
-                FinalState((), cfg.builtins, frozenset(), True, solves, applies, trace)
-            )
+            finals.append(FinalState((), cfg.builtins, frozenset(), True))
             continue
         atoms = mod.chr_atoms(cfg)
         if dedup:
@@ -94,19 +124,9 @@ def explore(
             visited.append((atoms, cfg.builtins, cfg.tokens))
         succ = mod.successors(program, cfg, fresh)
         if not succ:
-            finals.append(
-                FinalState(
-                    atoms, cfg.builtins, cfg.tokens, False, solves, applies, trace
-                )
-            )
-            continue
-        if applies >= max_applies:
-            truncated = True
-            continue
-        for firing, child in reversed(succ):
-            step = (firing.rule.name, firing.idents)
-            stack.append((child, solves, applies + 1, trace + (step,)))
-    return ExploreResult(finals, truncated, expanded, goal_vars)
+            finals.append(FinalState(atoms, cfg.builtins, cfg.tokens, False))
+        walk.expand(depth, [child for _, child in succ])
+    return ExploreResult(finals, walk.truncated, walk.expanded, goal_vars)
 
 
 @dataclass(frozen=True)
@@ -161,7 +181,6 @@ def qualified_answers(
     semantics: str = "annotated",
     max_applies: int = 30,
     max_states: int = 5000,
-    fresh: Optional[FreshSupply] = None,
 ) -> AnswerSet:
     res = explore(
         program,
@@ -169,7 +188,6 @@ def qualified_answers(
         semantics=semantics,
         max_applies=max_applies,
         max_states=max_states,
-        fresh=fresh,
     )
     reps: List[FinalState] = []
     for fs in res.finals:
@@ -206,7 +224,7 @@ def lockstep_run(
     version drives the fused one; sharing the fresh-variable sequence keeps
     the renamed rules syntactically identical on both sides.
     """
-    prog_std = _fit_program(program, "standard")
+    prog_std = fit_program(program, "standard")
     prog_ann = annotate(prog_std)
     fresh_s = FreshSupply("_R")
     fresh_a = FreshSupply("_R")
@@ -224,59 +242,39 @@ def lockstep_run(
             ca.counter,
         )
 
-    nodes = finals = solve_count = apply_count = 0
-    truncated = False
-    stack = [(standard.initial(goal), annotated.initial(goal), 0)]
-    while stack:
-        cs, ca, applies = stack.pop()
-        nodes += 1
-        if nodes > max_states:
-            truncated = True
-            break
+    finals = solve_count = apply_count = 0
+    walk = Walk((standard.initial(goal), annotated.initial(goal)), max_applies, max_states)
+
+    def report(mismatch: Optional[str]) -> LockstepReport:
+        return LockstepReport(
+            mismatch is None, mismatch, walk.expanded, finals, solve_count,
+            apply_count, walk.truncated,
+        )
+
+    for (cs, ca), depth in walk:
         if not corresponds(cs, ca):
-            return LockstepReport(
-                False, f"states diverged entering node {nodes}", nodes, finals,
-                solve_count, apply_count, truncated,
-            )
+            return report(f"states diverged entering node {walk.expanded}")
         cs, ns = standard.drain(cs)
         ca, na = annotated.drain(ca)
         if ns != na:
-            return LockstepReport(
-                False, f"solve counts differ at node {nodes}: {ns} vs {na}",
-                nodes, finals, solve_count, apply_count, truncated,
-            )
+            return report(f"solve counts differ at node {walk.expanded}: {ns} vs {na}")
         solve_count += ns
         if cs.failed or ca.failed:
             if cs.failed != ca.failed:
-                return LockstepReport(
-                    False, f"only one side failed at node {nodes}", nodes, finals,
-                    solve_count, apply_count, truncated,
-                )
+                return report(f"only one side failed at node {walk.expanded}")
             finals += 1
             continue
         if not corresponds(cs, ca):
-            return LockstepReport(
-                False, f"states diverged after draining node {nodes}", nodes,
-                finals, solve_count, apply_count, truncated,
-            )
+            return report(f"states diverged after draining node {walk.expanded}")
         succ_s = standard.successors(prog_std, cs, fresh_s)
         succ_a = annotated.successors(prog_ann, ca, fresh_a)
         sig_s = [(f.rule_index, f.idents) for f, _ in succ_s]
         sig_a = [(f.rule_index, f.idents) for f, _ in succ_a]
         if sig_s != sig_a:
-            return LockstepReport(
-                False, f"firings differ at node {nodes}: {sig_s} vs {sig_a}",
-                nodes, finals, solve_count, apply_count, truncated,
-            )
+            return report(f"firings differ at node {walk.expanded}: {sig_s} vs {sig_a}")
         if not succ_s:
             finals += 1
-            continue
-        if applies >= max_applies:
-            truncated = True
-            continue
-        apply_count += len(succ_s)
-        for (_, child_s), (_, child_a) in zip(reversed(succ_s), reversed(succ_a)):
-            stack.append((child_s, child_a, applies + 1))
-    return LockstepReport(
-        True, None, nodes, finals, solve_count, apply_count, truncated
-    )
+        children = [(s[1], a[1]) for s, a in zip(succ_s, succ_a)]
+        if walk.expand(depth, children):
+            apply_count += len(children)
+    return report(None)

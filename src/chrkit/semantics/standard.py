@@ -108,6 +108,3 @@ def drain(cfg: Config):
 def chr_atoms(cfg: Config) -> tuple:
     return cfg.store
 
-
-def pending_builtins(cfg: Config) -> tuple:
-    return tuple(g for g in cfg.goal if isinstance(g, (Equation, FalseConstraint)))

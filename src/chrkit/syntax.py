@@ -75,16 +75,6 @@ class Rule:
     def is_propagation(self) -> bool:
         return not self.removed
 
-    @property
-    def is_simplification(self) -> bool:
-        return not self.kept
-
-    def body_atoms(self) -> tuple:
-        return tuple(b for b in self.body if isinstance(b, (Compound, IdAtom)))
-
-    def body_builtins(self) -> tuple:
-        return tuple(b for b in self.body if isinstance(b, (Equation, FalseConstraint)))
-
     def body_idents(self) -> tuple:
         return tuple(b.ident for b in self.body if isinstance(b, IdAtom))
 

@@ -1,4 +1,4 @@
-"""First-order terms, substitutions, unification and one-way matching.
+"""First-order terms, substitutions and unification.
 
 Terms are immutable: a variable (name starting with an uppercase letter or
 underscore) or a compound (lowercase functor plus argument tuple). Constants
@@ -46,9 +46,6 @@ class Equation:
     lhs: Term
     rhs: Term
 
-    def swapped(self) -> "Equation":
-        return Equation(self.rhs, self.lhs)
-
 
 @dataclass(frozen=True)
 class FalseConstraint:
@@ -56,10 +53,6 @@ class FalseConstraint:
 
 
 BuiltinItem = Union[Equation, FalseConstraint]
-
-
-def is_var(t) -> bool:
-    return isinstance(t, Var)
 
 
 def vars_of(obj) -> set:
@@ -218,17 +211,6 @@ def unify_terms(s: Term, t: Term, frozen=frozenset()):
     return unify([(s, t)], frozen=frozen)
 
 
-def match_oneway(pattern: Term, target: Term, frozen=None):
-    """One-way matching: bind only the pattern's variables.
-
-    ``frozen`` defaults to the target's variables; a match never instantiates
-    the target. Returns the matching substitution or None.
-    """
-    if frozen is None:
-        frozen = frozenset(vars_of(target))
-    return unify([(pattern, target)], frozen=frozenset(frozen))
-
-
 def solved_form(sub: Subst) -> Subst:
     """Idempotent version of a triangular substitution."""
     out: Subst = {}
@@ -240,7 +222,7 @@ def solved_form(sub: Subst) -> Subst:
 
 
 class FreshSupply:
-    """Process-wide source of fresh variable names (``_V1``, ``_V2``, ...)."""
+    """Source of fresh variable names (``_V1``, ``_V2``, ...)."""
 
     def __init__(self, prefix: str = "_V"):
         self.prefix = prefix
@@ -249,16 +231,11 @@ class FreshSupply:
     def fresh(self) -> Var:
         return Var(f"{self.prefix}{next(self._counter)}")
 
-    def reset(self) -> None:
-        self._counter = itertools.count(1)
-
-
-supply = FreshSupply()
-
 
 def rename_apart(obj, vars_to_rename=None, fresh: Optional[FreshSupply] = None):
-    """Rename the object's variables to fresh ones; returns (renamed, mapping)."""
-    fresh = fresh or supply
+    """Rename the object's variables to fresh ones, by default from a new
+    ``FreshSupply()``; returns (renamed, mapping)."""
+    fresh = fresh or FreshSupply()
     if vars_to_rename is None:
         vars_to_rename = vars_of(obj)
     mapping: Subst = {v: fresh.fresh() for v in sorted(vars_to_rename, key=lambda v: v.name)}

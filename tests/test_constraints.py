@@ -85,6 +85,17 @@ def test_entailment_witness_binds_only_exvars():
     assert set(w) <= {Z}
 
 
+def test_entailment_does_not_depend_on_store_orientation():
+    # X=Y and Y=X are the same store, and the quantified X is not the
+    # store's X: both entail exists X. X=Z, and neither entails
+    # exists X. (X=Y /\ X=a), which says Y=a
+    for store_eq in (eq(X, Y), eq(Y, X)):
+        s = conjoin(TRUE, [store_eq])
+        assert entails_exists(s, {X}, [eq(X, Z)])
+        assert entailment_witness(s, {X}, [eq(X, Z)]) == {X: Z}
+        assert not entails_exists(s, {X}, [eq(X, Y), eq(X, a)])
+
+
 def test_occurs_check_blocks_entailment():
     assert not entails_exists(TRUE, {Z}, [eq(Z, f(Z))])
 
@@ -272,6 +283,9 @@ batch_eqs_st = st.lists(
     st.lists(batch_eqs_st, min_size=1, max_size=3),
     st.sets(st.sampled_from(VARS)),
 )
+# a quantified variable that also occurs in the store: the two stores keep
+# the class {X, Y} oriented differently
+@example(batches=[[eq(X, Y)], [eq(Y, X)]], queries=[[eq(X, Z)]], exvars={X})
 def test_incremental_store_matches_solving_from_scratch(batches, queries, exvars):
     # one conjoin per batch: each extends the parent's carried unifier
     inc = TRUE
@@ -282,6 +296,8 @@ def test_incremental_store_matches_solving_from_scratch(batches, queries, exvars
     assert stores_equivalent(inc, scratch)
     if not inc.failed:
         assert inc.equations == scratch.equations
+        # the variable set conjoin carries forward, against a fresh count
+        assert inc.variables() == frozenset(vars_of(inc.equations))
     for query in queries:
         assert entails_exists(inc, exvars, query) == entails_exists(
             scratch, exvars, query

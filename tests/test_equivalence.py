@@ -4,7 +4,6 @@ from chrkit.constraints import FAILED, TRUE, conjoin
 from chrkit.equivalence import (
     configs_correspond,
     rules_isomorphic,
-    states_equivalent,
     states_equivalent_mod,
 )
 from chrkit.semantics import annotated as ann
@@ -24,40 +23,53 @@ def B(*eq_texts):
     return conjoin(TRUE, [parse_goal(t)[0] for t in eq_texts])
 
 
-# ------------------------------------------------------------ strict states
+# ------------------------------------------------ every variable fixed
+
+X, Y = Var("X"), Var("Y")
 
 
 def test_equal_states_are_equivalent():
     sa = (atom("p(X)", 1),)
-    assert states_equivalent(sa, TRUE, frozenset(), sa, TRUE, frozenset())
+    assert states_equivalent_mod(
+        sa, TRUE, frozenset(), sa, TRUE, frozenset(), fixed_vars={X}
+    )
 
 
 def test_builtin_stores_compared_semantically():
     sa = (atom("p(X)", 1),)
-    assert states_equivalent(
-        sa, B("X=Y", "Y=a"), frozenset(), sa, B("X=a", "Y=a"), frozenset()
+    assert states_equivalent_mod(
+        sa, B("X=Y", "Y=a"), frozenset(), sa, B("X=a", "Y=a"), frozenset(),
+        fixed_vars={X, Y},
     )
-    assert not states_equivalent(
-        sa, B("X=a"), frozenset(), sa, B("X=b"), frozenset()
+    assert not states_equivalent_mod(
+        sa, B("X=a"), frozenset(), sa, B("X=b"), frozenset(), fixed_vars={X}
     )
 
 
 def test_dangling_tokens_are_ignored():
     sa = (atom("k", 1),)
     toks = frozenset({Token("r", (1, 9))})  # 9 has no atom behind it
-    assert states_equivalent(sa, TRUE, toks, sa, TRUE, frozenset())
+    assert states_equivalent_mod(
+        sa, TRUE, toks, sa, TRUE, frozenset(), fixed_vars=()
+    )
 
 
 def test_live_tokens_distinguish_states():
     sa = (atom("k", 1),)
     toks = frozenset({Token("r", (1,))})
-    assert not states_equivalent(sa, TRUE, toks, sa, TRUE, frozenset())
+    assert not states_equivalent_mod(
+        sa, TRUE, toks, sa, TRUE, frozenset(), fixed_vars=()
+    )
 
 
 def test_failed_states_collapse():
     sa = (atom("p(X)", 1),)
-    assert states_equivalent(sa, FAILED, frozenset(), (), FAILED, frozenset())
-    assert not states_equivalent(sa, FAILED, frozenset(), sa, TRUE, frozenset())
+    assert states_equivalent_mod(
+        sa, FAILED, frozenset(), (), FAILED, frozenset(), fixed_vars={X}
+    )
+    assert not states_equivalent_mod(
+        sa, FAILED, frozenset(), sa, TRUE, frozenset(), fixed_vars={X}
+    )
 
 
 # -------------------------------------------------------- modulo renaming

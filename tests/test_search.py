@@ -1,5 +1,6 @@
 """Derivation search, answer rendering, and the two-semantics lockstep."""
 
+from chrkit.analysis import check_normal_termination, probe_solve_orders
 from chrkit.semantics.search import (
     explore,
     lockstep_run,
@@ -115,3 +116,22 @@ def test_lockstep_head_equations_skip_the_solver_queue():
     report = lockstep_run(load("chain"), parse_goal("p(a)"))
     assert report.apply_count == 2
     assert report.solve_count == 0
+
+
+def test_a_branch_ending_at_the_apply_budget_is_not_truncated():
+    # p(a) fires r once and q(a) is terminal: the branch ends exactly at
+    # max_applies=1, so every search is exhaustive
+    p = parse_program("r @ p(X) <=> q(X).")
+    goal = parse_goal("p(a)")
+    for semantics in ("standard", "annotated"):
+        res = explore(p, goal, semantics=semantics, max_applies=1)
+        assert not res.truncated
+        assert len(res.finals) == 1
+    report = lockstep_run(p, goal, max_applies=1)
+    assert report.aligned and not report.truncated
+    assert (report.finals, report.apply_count) == (1, 1)
+    term = check_normal_termination(p, goal, max_applies=1)
+    assert (term.status, term.truncated) == ("terminates", False)
+    # the probe's step budget cuts any node at the budget, leaves included
+    probe = probe_solve_orders(p, goal, max_steps=1)
+    assert probe.truncated and not probe.cycle_found

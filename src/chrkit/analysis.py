@@ -11,7 +11,10 @@ are resolved into the atoms, and the built-in store is restricted to the
 variables still reachable from the goal or the atoms. A branch that repeats
 an ancestor's view (modulo renaming away from the goal variables) can be
 replayed forever, since rule applicability only ever consults that part of
-the state.
+the state. Each view on a branch's history carries its fingerprint
+(``state_fingerprint``), and only ancestors with an equal fingerprint get
+the exact check; the scan keeps its order, so the first repeated ancestor
+is the same.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .constraints import Store, project
-from .equivalence import states_equivalent_mod
+from .equivalence import state_fingerprint, states_equivalent_mod
 from .semantics import annotated
 from .semantics.search import (
     AnswerSet,
+    FinalState,
     Walk,
-    final_states_equivalent,
     fit_program,
     qualified_answers,
 )
@@ -34,13 +37,26 @@ from .terms import FreshSupply, apply_subst, vars_of
 
 
 def _live_view(atoms, builtins: Store, tokens, goal_vars):
+    """The state's live view and the view's fingerprint."""
     if not builtins.failed:
         sigma = builtins.solved()
         atoms = tuple(
             IdAtom(apply_subst(a.atom, sigma), a.ident) for a in atoms
         )
     keep = set(goal_vars) | vars_of(atoms)
-    return atoms, Store(project(builtins, keep)), tokens
+    view = (atoms, Store(project(builtins, keep)), tokens)
+    return view, state_fingerprint(*view, goal_vars)
+
+
+def _repeat(history, view, fingerprint, goal_vars) -> Optional[int]:
+    """The index of the first ancestor view the given view repeats."""
+    key, profiles = fingerprint
+    for first, (old, (old_key, old_profiles)) in enumerate(history):
+        if old_key == key and states_equivalent_mod(
+            *old, *view, goal_vars, old_profiles, profiles
+        ):
+            return first
+    return None
 
 
 @dataclass
@@ -76,15 +92,21 @@ def check_normal_termination(
         cfg, _ = annotated.drain(cfg)
         if cfg.failed:
             continue
-        view = _live_view(annotated.chr_atoms(cfg), cfg.builtins, cfg.tokens, goal_vars)
-        for first, old in enumerate(history):
-            if states_equivalent_mod(*old, *view, goal_vars):
-                return TerminationReport(
-                    "diverges", Cycle(trace, first, depth), walk.expanded,
-                    walk.truncated,
-                )
+        view, fingerprint = _live_view(
+            annotated.chr_atoms(cfg), cfg.builtins, cfg.tokens, goal_vars
+        )
+        first = _repeat(history, view, fingerprint, goal_vars)
+        if first is not None:
+            return TerminationReport(
+                "diverges", Cycle(trace, first, depth), walk.expanded,
+                walk.truncated,
+            )
         walk.expand(depth, [
-            (child, history + (view,), trace + ((firing.rule.name, firing.idents),))
+            (
+                child,
+                history + ((view, fingerprint),),
+                trace + ((firing.rule.name, firing.idents),),
+            )
             for firing, child in annotated.successors(program, cfg, fresh)
         ])
     if walk.truncated:
@@ -163,18 +185,21 @@ def probe_solve_orders(
             children.append((annotated.solve_at(cfg, i), history, applies, trace + (label,)))
         for firing, child in annotated.successors(program, cfg, fresh):
             label = ("apply", firing.rule.name, firing.idents)
-            view = _live_view(
+            view, fingerprint = _live_view(
                 annotated.chr_atoms(child), child.builtins, child.tokens, goal_vars
             )
-            for first, old in enumerate(history):
-                if states_equivalent_mod(*old, *view, goal_vars):
-                    return ProbeReport(
-                        True,
-                        Cycle(trace + (label,), first, applies + 1),
-                        walk.expanded,
-                        walk.truncated,
-                    )
-            children.append((child, history + (view,), applies + 1, trace + (label,)))
+            first = _repeat(history, view, fingerprint, goal_vars)
+            if first is not None:
+                return ProbeReport(
+                    True,
+                    Cycle(trace + (label,), first, applies + 1),
+                    walk.expanded,
+                    walk.truncated,
+                )
+            children.append((
+                child, history + ((view, fingerprint),), applies + 1,
+                trace + (label,),
+            ))
         walk.expand(steps, children)
     return ProbeReport(False, None, walk.expanded, walk.truncated)
 
@@ -192,12 +217,23 @@ def diff_answer_sets(left: AnswerSet, right: AnswerSet) -> AnswerDiff:
     away from the goal variables and report the leftovers."""
     if set(left.goal_vars) != set(right.goal_vars):
         raise ValueError("answer sets come from different goals")
-    unmatched = list(range(len(right.finals)))
+    goal_vars = left.goal_vars
+
+    def keyed(fs: FinalState):
+        state = (fs.atoms, fs.builtins, fs.tokens)
+        return state, state_fingerprint(*state, goal_vars)
+
+    rights = [keyed(fr) for fr in right.finals]
+    unmatched = list(range(len(rights)))
     only_left = []
     for i, fl in enumerate(left.finals):
+        state, (key, profiles) = keyed(fl)
         hit = None
         for j in unmatched:
-            if final_states_equivalent(fl, right.finals[j], left.goal_vars):
+            other, (other_key, other_profiles) = rights[j]
+            if other_key == key and states_equivalent_mod(
+                *state, *other, goal_vars, profiles, other_profiles
+            ):
                 hit = j
                 break
         if hit is None:

@@ -408,15 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, goals=False):
         p.add_argument("program", help="path to a .chr file")
-        p.add_argument("--max-depth", type=int, default=12,
-                       help="rule application budget per derivation")
-        p.add_argument("--max-states", type=int, default=10000,
-                       help="explored state budget")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed recorded in machine output")
         p.add_argument("--json", action="store_true",
                        help="emit JSON lines instead of text")
         if goals:
+            p.add_argument("--max-depth", type=int, default=12,
+                           help="rule application budget per derivation")
+            p.add_argument("--max-states", type=int, default=10000,
+                           help="explored state budget")
             p.add_argument("--goal", action="append",
                            help="inline goal (repeatable)")
             p.add_argument("--goals", help="file with one goal per line")
@@ -462,6 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replace rules by their unfoldings and certify "
                        "answers on a goal suite")
     common(p, goals=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed recorded in the certificate")
     p.add_argument("--sequence", required=True,
                    help="comma separated rule names, replaced in order")
     p.add_argument("--weak", action="store_true")

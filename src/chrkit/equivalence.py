@@ -11,27 +11,37 @@ Two gradations are used throughout the toolkit:
   the two-store semantics (goal kept separate) and one of the fused-store
   semantics, used by the lockstep runner.
 
-All checks are decision procedures by backtracking; the state sizes this
-toolkit deals in are small.
+``states_equivalent_mod`` is a decision procedure by backtracking over
+atom matchings and bijections of the leftover store variables. Callers keep
+it off most pairs through ``state_fingerprint``, a key that no renaming the
+check allows can change (the symmetry reduction of explicit-state model
+checking): states with different keys are never equivalent, and the
+per-variable profiles behind the key prune the bijection search.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from collections import Counter
+from typing import Dict, Optional
 
 from .constraints import Store, stores_equivalent
-from .terms import Compound, Equation, FalseConstraint, Var, rename_vars, vars_of
+from .terms import Compound, Equation, FalseConstraint, Var, rename_vars, vars_of, walk
 from .syntax import IdAtom, Token, clean_tokens
 
 
-def _match_term(ta, tb, rho: Dict, fixed) -> Optional[Dict]:
-    """Extend the injective variable map rho so that ta renamed equals tb."""
+def _match_term(ta, tb, rho: Dict, fixed, pa=None, pb=None) -> Optional[Dict]:
+    """Extend the injective variable map rho so that ta renamed equals tb.
+
+    With profile maps pa and pb, a variable is only mapped to one with the
+    same profile."""
     if isinstance(ta, Var) and isinstance(tb, Var):
         if ta in fixed or tb in fixed:
             return rho if ta == tb else None
         if ta in rho:
             return rho if rho[ta] == tb else None
         if tb in rho.values():
+            return None
+        if pa is not None and pa[ta] != pb[tb]:
             return None
         out = dict(rho)
         out[ta] = tb
@@ -40,26 +50,28 @@ def _match_term(ta, tb, rho: Dict, fixed) -> Optional[Dict]:
         if ta.functor != tb.functor or len(ta.args) != len(tb.args):
             return None
         for x, y in zip(ta.args, tb.args):
-            rho = _match_term(x, y, rho, fixed)
+            rho = _match_term(x, y, rho, fixed, pa, pb)
             if rho is None:
                 return None
         return rho
     return None
 
 
-def _match_atom_sets(todo, avail, fixed, rho, idmap):
+def _match_atom_sets(todo, avail, fixed, rho, idmap, pa=None, pb=None):
     """Yield (rho, idmap) pairs matching the IdAtom multiset todo onto avail."""
     if not todo:
         yield rho, idmap
         return
     first = todo[0]
     for j, cand in enumerate(avail):
-        r2 = _match_term(first.atom, cand.atom, rho, fixed)
+        r2 = _match_term(first.atom, cand.atom, rho, fixed, pa, pb)
         if r2 is None:
             continue
         im = dict(idmap)
         im[first.ident] = cand.ident
-        yield from _match_atom_sets(todo[1:], avail[:j] + avail[j + 1:], fixed, r2, im)
+        yield from _match_atom_sets(
+            todo[1:], avail[:j] + avail[j + 1:], fixed, r2, im, pa, pb
+        )
 
 
 def _tokens_correspond(tok_a, tok_b, idmap) -> bool:
@@ -79,9 +91,9 @@ def _constrained_vars(store: Store):
     return out
 
 
-def _stores_equivalent_mod(sa: Store, sb: Store, rho, fixed) -> bool:
+def _stores_equivalent_mod(sa: Store, sb: Store, rho, fixed, pa, pb) -> bool:
     """Can rho be extended over the leftover variables so the stores are
-    equivalent theories?"""
+    equivalent theories? Only variables with equal profiles are paired."""
     if sa.failed or sb.failed:
         return sa.failed and sb.failed
     la = sorted(_constrained_vars(sa) - set(rho) - fixed, key=lambda v: v.name)
@@ -101,6 +113,8 @@ def _stores_equivalent_mod(sa: Store, sb: Store, rho, fixed) -> bool:
         v = la[i]
         bound = sig_a.get(v)
         for w in sorted(avail, key=lambda x: x.name):
+            if pa[v] != pb[w]:
+                continue
             if bound is not None and not vars_of(bound):
                 if sig_b.get(w) != bound:
                     continue
@@ -117,28 +131,137 @@ def _shape_key(a: IdAtom):
     return (a.atom.functor, len(a.atom.args))
 
 
+def shape_key(atoms, store: Store):
+    """The multiset of atom shapes that ``states_equivalent_mod`` compares
+    first, as a hashable key; None for every failed state."""
+    if store.failed:
+        return None
+    return tuple(sorted(map(_shape_key, atoms)))
+
+
+def _vars_in(terms) -> set:
+    """The variables of the given terms, by an explicit stack."""
+    out = set()
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            out.add(t)
+        else:
+            stack.extend(t.args)
+    return out
+
+
+def var_profiles(atoms, store: Store, fixed) -> Dict[Var, tuple]:
+    """A label for every variable of a non-failed state that each renaming
+    allowed by ``states_equivalent_mod`` keeps.
+
+    The variables are ``fixed``, those of the atoms and those of the
+    store's mgu. Variables are in one class when they walk to the same
+    unbound variable. A variable whose class is bound to a compound is
+    labelled with its functor and arity; one whose class is unbound, with
+    the sorted names of the fixed variables in the class and the class
+    size. Every member of a bound class walks to a compound with the same
+    top symbol, so the carried triangular mgu is read through ``walk``
+    and never resolved.
+    """
+    fixed = frozenset(fixed)
+    mgu = store.mgu()
+    state_vars = _vars_in([a.atom for a in atoms] + list(mgu.values()))
+    state_vars |= fixed
+    state_vars.update(mgu)
+    profiles = {}
+    classes: Dict[Var, list] = {}
+    for v in state_vars:
+        t = walk(v, mgu)
+        if isinstance(t, Var):
+            classes.setdefault(t, []).append(v)
+        else:
+            profiles[v] = ("bound", t.functor, len(t.args))
+    for members in classes.values():
+        names = tuple(sorted(v.name for v in members if v in fixed))
+        label = ("free", names, len(members))
+        for v in members:
+            profiles[v] = label
+    return profiles
+
+
+def _label(term, profiles) -> tuple:
+    """The term in preorder, each variable replaced by its profile."""
+    out = []
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            out.append(profiles[t])
+        else:
+            out.append((t.functor, len(t.args)))
+            stack.extend(reversed(t.args))
+    return tuple(out)
+
+
+def _multiset(items) -> frozenset:
+    return frozenset(Counter(items).items())
+
+
+def state_fingerprint(atoms, store: Store, tokens, fixed):
+    """A hashable key that is equal for any two states
+    ``states_equivalent_mod`` identifies, and the state's ``var_profiles``.
+
+    The key combines three multisets: the atoms with every variable
+    replaced by its profile, the profiles themselves, and the cleaned
+    tokens over those atom labels. All failed states share one key.
+    """
+    if store.failed:
+        return None, {}
+    profiles = var_profiles(atoms, store, fixed)
+    labels = {a.ident: _label(a.atom, profiles) for a in atoms}
+    key = (
+        _multiset(labels.values()),
+        _multiset(profiles.values()),
+        _multiset(
+            (t.rule_name, tuple(labels[i] for i in t.idents))
+            for t in clean_tokens(tokens, atoms)
+        ),
+    )
+    return key, profiles
+
+
 def states_equivalent_mod(
-    chr_a, builtins_a, tokens_a, chr_b, builtins_b, tokens_b, fixed_vars
+    chr_a, builtins_a, tokens_a, chr_b, builtins_b, tokens_b, fixed_vars,
+    profiles_a=None, profiles_b=None,
 ) -> bool:
     """Comparison modulo renaming of variables outside fixed_vars and of
-    atom identifiers. Failed states are all identified with each other."""
+    atom identifiers. Failed states are all identified with each other.
+
+    ``profiles_a`` and ``profiles_b`` are the states' ``var_profiles`` for
+    the same fixed variables, computed here when not given; they only
+    prune the search and never change its answer."""
     if builtins_a.failed or builtins_b.failed:
         return builtins_a.failed and builtins_b.failed
     if len(chr_a) != len(chr_b):
         return False
-    if sorted(map(_shape_key, chr_a)) != sorted(map(_shape_key, chr_b)):
+    if shape_key(chr_a, builtins_a) != shape_key(chr_b, builtins_b):
         return False
     fixed = frozenset(fixed_vars)
     ta = clean_tokens(tokens_a, chr_a)
     tb = clean_tokens(tokens_b, chr_b)
     if len(ta) != len(tb):
         return False
+    if profiles_a is None:
+        profiles_a = var_profiles(chr_a, builtins_a, fixed)
+    if profiles_b is None:
+        profiles_b = var_profiles(chr_b, builtins_b, fixed)
     todo = sorted(chr_a, key=lambda a: (_shape_key(a), a.ident))
     avail = sorted(chr_b, key=lambda a: (_shape_key(a), a.ident))
-    for rho, idmap in _match_atom_sets(todo, avail, fixed, {}, {}):
+    for rho, idmap in _match_atom_sets(
+        todo, avail, fixed, {}, {}, profiles_a, profiles_b
+    ):
         if not _tokens_correspond(ta, tb, idmap):
             continue
-        if _stores_equivalent_mod(builtins_a, builtins_b, rho, fixed):
+        if _stores_equivalent_mod(
+            builtins_a, builtins_b, rho, fixed, profiles_a, profiles_b
+        ):
             return True
     return False
 

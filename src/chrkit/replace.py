@@ -35,7 +35,6 @@ from .unfold import unfold_all, unfold_sites
 @dataclass(frozen=True)
 class Hazard:
     kind: str  # "unify-only" or "partial-head"
-    target_index: int
     source_index: int
     source_name: str
     idents: tuple
@@ -86,7 +85,6 @@ def deletion_hazards(program: Program, target_index: int) -> List[Hazard]:
                 out.append(
                     Hazard(
                         "unify-only",
-                        target_index,
                         si,
                         source.name,
                         ids,
@@ -115,7 +113,6 @@ def deletion_hazards(program: Program, target_index: int) -> List[Hazard]:
                     out.append(
                         Hazard(
                             "partial-head",
-                            target_index,
                             si,
                             source.name,
                             tuple(a.ident for a in combo),
@@ -131,7 +128,6 @@ def deletion_hazards(program: Program, target_index: int) -> List[Hazard]:
 @dataclass
 class ReplacementVerdict:
     ok: bool
-    mode: str
     sites: List[Tuple[int, tuple]]
     hazards: List[Hazard]
     guard_mismatches: List[Rule]
@@ -159,7 +155,7 @@ def check_replacement(program: Program, target_index: int, mode: str = "safe") -
                 f"{len(mismatches)} unfolded version(s) of {r.name} change the guard"
             )
         return ReplacementVerdict(
-            not reasons, mode, sites, hazards, mismatches, reasons
+            not reasons, sites, hazards, mismatches, reasons
         )
     if mode == "weak":
         keeps_guard = [u for u in unfolded if guards_equivalent(r.guard, u.guard)]
@@ -167,7 +163,7 @@ def check_replacement(program: Program, target_index: int, mode: str = "safe") -
             reasons.append(
                 f"no unfolded version of {r.name} keeps the guard equivalent"
             )
-        return ReplacementVerdict(not reasons, mode, sites, [], [], reasons)
+        return ReplacementVerdict(not reasons, sites, [], [], reasons)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -9,7 +9,6 @@ from .search import (
     LockstepReport,
     QualifiedAnswer,
     explore,
-    final_states_equivalent,
     lockstep_run,
     qualified_answers,
     render_answer,
@@ -26,7 +25,6 @@ __all__ = [
     "LockstepReport",
     "QualifiedAnswer",
     "explore",
-    "final_states_equivalent",
     "lockstep_run",
     "qualified_answers",
     "render_answer",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..constraints import TRUE, Store, conjoin
-from ..syntax import IdAtom, Token, identify_atoms
+from ..syntax import IdAtom, identify_atoms
 from ..terms import Equation, FalseConstraint, FreshSupply
 from .matching import Firing, enumerate_firings
 

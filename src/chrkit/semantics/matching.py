@@ -13,7 +13,7 @@ from itertools import permutations
 from typing import List
 
 from ..constraints import Store, entails_exists
-from ..syntax import IdAtom, Rule, Token
+from ..syntax import Rule, Token
 from ..terms import Equation, FreshSupply, rename_apart, vars_of
 
 

@@ -7,6 +7,12 @@ points. Answers are read off the terminal states: failure collapses to
 built-in store restricted to the variables worth showing. Terminal states
 are deduplicated modulo renaming away from the goal variables.
 
+Dedup, of the states ``explore`` visits and of the answers, goes through a
+``StateIndex``: states are bucketed by their multiset of atom shapes, a
+bucket's renaming-invariant fingerprints (``state_fingerprint``) are only
+computed once it holds a second state, and the exact
+``states_equivalent_mod`` runs only between states with equal fingerprints.
+
 Every search here and in ``analysis`` is a loop body over one ``Walk``, a
 depth-first walk of the derivation tree. Budgets make every search total:
 ``max_applies`` bounds the firing depth of a branch and ``max_states`` the
@@ -20,7 +26,12 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..constraints import Store, canonical_locals, project
-from ..equivalence import configs_correspond, states_equivalent_mod
+from ..equivalence import (
+    configs_correspond,
+    shape_key,
+    state_fingerprint,
+    states_equivalent_mod,
+)
 from ..syntax import annotate, print_item, strip_annotations
 from ..terms import FreshSupply, apply_subst, unify, vars_of
 from . import annotated, standard
@@ -68,6 +79,41 @@ class Walk:
         return True
 
 
+class StateIndex:
+    """The states seen so far, looked up modulo renaming away from ``fixed``.
+
+    A shape bucket holding one state keeps it bare; once a second state
+    arrives, the bucket files its states by fingerprint. Equivalent states
+    have equal shapes and fingerprints, so the exact check only runs within
+    one fingerprint, in the order the states were added.
+    """
+
+    def __init__(self, fixed):
+        self.fixed = frozenset(fixed)
+        # shape -> the lone state, or {fingerprint key: [(state, profiles)]}
+        self._buckets: dict = {}
+
+    def add(self, atoms, builtins, tokens) -> bool:
+        """Add the state unless an equivalent one is in; return whether it
+        was added."""
+        shape = shape_key(atoms, builtins)
+        state = (atoms, builtins, tokens)
+        bucket = self._buckets.get(shape)
+        if bucket is None:
+            self._buckets[shape] = state
+            return True
+        if isinstance(bucket, tuple):
+            key, profiles = state_fingerprint(*bucket, self.fixed)
+            bucket = self._buckets[shape] = {key: [(bucket, profiles)]}
+        key, profiles = state_fingerprint(*state, self.fixed)
+        same = bucket.setdefault(key, [])
+        for old, old_profiles in same:
+            if states_equivalent_mod(*state, *old, self.fixed, profiles, old_profiles):
+                return False
+        same.append((state, profiles))
+        return True
+
+
 @dataclass(frozen=True)
 class FinalState:
     atoms: tuple
@@ -105,7 +151,7 @@ def explore(
     fresh = FreshSupply("_R")
     goal_vars = frozenset(vars_of(tuple(goal)))
     finals: List[FinalState] = []
-    visited: List = []
+    visited = StateIndex(goal_vars)
     walk = Walk(mod.initial(goal), max_applies, max_states)
     for cfg, depth in walk:
         cfg, _ = mod.drain(cfg)
@@ -113,15 +159,8 @@ def explore(
             finals.append(FinalState((), cfg.builtins, frozenset(), True))
             continue
         atoms = mod.chr_atoms(cfg)
-        if dedup:
-            if any(
-                states_equivalent_mod(
-                    atoms, cfg.builtins, cfg.tokens, va, vb, vt, goal_vars
-                )
-                for va, vb, vt in visited
-            ):
-                continue
-            visited.append((atoms, cfg.builtins, cfg.tokens))
+        if dedup and not visited.add(atoms, cfg.builtins, cfg.tokens):
+            continue
         succ = mod.successors(program, cfg, fresh)
         if not succ:
             finals.append(FinalState(atoms, cfg.builtins, cfg.tokens, False))
@@ -169,12 +208,6 @@ def render_answer(final: FinalState, goal_vars) -> QualifiedAnswer:
     return QualifiedAnswer(atoms, eqs, False)
 
 
-def final_states_equivalent(a: FinalState, b: FinalState, goal_vars) -> bool:
-    return states_equivalent_mod(
-        a.atoms, a.builtins, a.tokens, b.atoms, b.builtins, b.tokens, goal_vars
-    )
-
-
 def qualified_answers(
     program,
     goal,
@@ -189,10 +222,8 @@ def qualified_answers(
         max_applies=max_applies,
         max_states=max_states,
     )
-    reps: List[FinalState] = []
-    for fs in res.finals:
-        if not any(final_states_equivalent(fs, r, res.goal_vars) for r in reps):
-            reps.append(fs)
+    seen = StateIndex(res.goal_vars)
+    reps = [fs for fs in res.finals if seen.add(fs.atoms, fs.builtins, fs.tokens)]
     rendered = [(render_answer(fs, res.goal_vars), fs) for fs in reps]
     rendered.sort(key=lambda pair: pair[0].text)
     return AnswerSet(

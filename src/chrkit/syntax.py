@@ -15,8 +15,8 @@ else is a functor. Printing and parsing round-trip.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Sequence, Union
 
 from .terms import (
     Compound,
@@ -24,7 +24,6 @@ from .terms import (
     FalseConstraint,
     Term,
     Var,
-    vars_of,
 )
 
 

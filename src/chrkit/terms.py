@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Optional, Union
 
 
 @dataclass(frozen=True)

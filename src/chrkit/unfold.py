@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .constraints import TRUE, conjoin, entails_exists, entailment_witness, satisfiable
 from .equivalence import rules_isomorphic
@@ -27,7 +27,6 @@ from .semantics.annotated import shift_identifiers
 
 @dataclass(frozen=True)
 class UnfoldSite:
-    target_index: int
     source_index: int
     idents: tuple
     theta: tuple  # sorted (var, term) pairs, for reporting
@@ -128,7 +127,6 @@ def unfold_at(program: Program, target_index: int, source_index: int,
     unfolded = Rule(r.name, r.kept, r.removed, new_guard, new_body, new_tokens)
     unfolded.validate(annotated=True)
     return UnfoldSite(
-        target_index,
         source_index,
         tuple(idents),
         tuple(sorted(theta.items(), key=lambda kv: kv[0].name)),

@@ -47,6 +47,22 @@ def test_annotate_numbers_the_bodies(capsys):
     assert out == "r @ p(X) <=> q(X)#1.\nv @ q(Y) <=> s(Y)#1.\n"
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["parse"], ["--max-depth", "--max-states", "--seed"]),
+    (["annotate"], ["--max-depth", "--max-states", "--seed"]),
+    (["unfold", "--rule", "r"], ["--max-depth", "--max-states", "--seed"]),
+    (["check-replace", "--rule", "r"], ["--max-depth", "--max-states", "--seed"]),
+    (["run", "--goal", "p(X)"], ["--seed"]),
+    (["verify", "--goal", "p(X)"], ["--seed"]),
+])
+def test_flags_a_command_would_ignore_are_usage_errors(capsys, argv, flags):
+    for flag in flags:
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], fx("chain"), *argv[1:], flag, "3"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_run_single_goal(capsys):
     code, out, _ = run_cli(capsys, "run", fx("mau"), "--goal", "p(X)")
     assert (code, out) == (0, "q(X)\n")

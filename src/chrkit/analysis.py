@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .constraints import Store, project
+from .constraints import Store, project, solve
 from .equivalence import state_fingerprint, states_equivalent_mod
 from .semantics import annotated
 from .semantics.search import (
@@ -32,17 +32,14 @@ from .semantics.search import (
     fit_program,
     qualified_answers,
 )
-from .syntax import IdAtom, print_item
+from .syntax import print_item
 from .terms import FreshSupply, apply_subst, vars_of
 
 
 def _live_view(atoms, builtins: Store, tokens, goal_vars):
     """The state's live view and the view's fingerprint."""
     if not builtins.failed:
-        sigma = builtins.solved()
-        atoms = tuple(
-            IdAtom(apply_subst(a.atom, sigma), a.ident) for a in atoms
-        )
+        atoms = apply_subst(tuple(atoms), solve(builtins))
     keep = set(goal_vars) | vars_of(atoms)
     view = (atoms, Store(project(builtins, keep)), tokens)
     return view, state_fingerprint(*view, goal_vars)

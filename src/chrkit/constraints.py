@@ -1,16 +1,25 @@
 """Built-in constraint store: conjunctions of equalities over finite trees.
 
 The built-in language is fixed to true, false and =. A store is either FAILED
-or a satisfiable conjunction. It keeps the equations conjoined so far and
-carries their triangular most general unifier (mgu): conjoin unifies only the
-new equations against the parent store's mgu, so a chain of n conjoins solves
-each equation once instead of re-solving the whole history at every step. A
-store built directly from an equation tuple computes its mgu lazily, from
-scratch. The idempotent solved form, which equivalence and analysis read, is
-computed on demand from the equations and cached. Entailment of existentially
-quantified equations is decided by unification of the query, instantiated
-through the mgu, with every non-quantified variable frozen; for equality over
-finite trees this is exact.
+or a satisfiable conjunction. It keeps the equations conjoined so far and one
+triangular most general unifier (mgu) of them: conjoin unifies only the new
+equations against the parent's mgu, so a chain of n conjoins solves each
+equation once; a store built from an equation tuple computes the mgu lazily.
+``Store.solved()`` is its cached idempotent form, for the readers that do not
+depend on which variable of a class the mgu leaves unbound.
+
+The answers and the termination checker's live views do depend on that, and
+read ``solve``: the ``equations`` history unified in one pass, in order. The
+history stays because outputs depend on its order. Under ``r @ a(Z) <=>
+p(Z).`` the goal ``p(X), q(Y), X=Y`` answers ``p(Y), q(Y), Y=X`` but
+``p(X), q(Y), Y=X`` answers ``p(X), q(X), Y=X``; and views that keep goal
+variables as class representatives find that ``r0 @ q(W) <=> g(f(f(Y)),W)=a
+| true. r1 @ q(Z) <=> b=W. r2 @ q(W) \\ s(X) <=> s(X), X=Y.`` diverges from
+``s(D), q(D), s(A)`` within one rule application, where it is ``unknown``.
+
+Entailment of existentially quantified equations is decided by unification
+of the query, instantiated through the mgu, with every non-quantified
+variable frozen; for equality over finite trees this is exact.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from .terms import (
     rename_vars,
     solved_form,
     unify,
+    vars_in_order,
     vars_of,
 )
 
@@ -38,10 +48,7 @@ class Store:
 
     equations: tuple = ()
     failed: bool = False
-    # the mgu conjoin carried over from the parent store, if any
     _mgu: Optional[dict] = field(default=None, compare=False, repr=False)
-    # the mgu of all equations unified in one pass, computed on demand
-    _scratch: Optional[dict] = field(default=None, compare=False, repr=False)
     _solved: Optional[dict] = field(default=None, compare=False, repr=False)
     _vars: Optional[frozenset] = field(default=None, compare=False, repr=False)
 
@@ -51,29 +58,20 @@ class Store:
             object.__setattr__(self, "_vars", frozenset(vars_of(self.equations)))
         return self._vars
 
-    def _scratch_mgu(self) -> Subst:
-        if self.failed:
-            raise ValueError("failed store has no unifier")
-        if self._scratch is None:
-            sub = unify([(e.lhs, e.rhs) for e in self.equations])
-            assert sub is not None, "unsatisfiable store not marked failed"
-            object.__setattr__(self, "_scratch", sub)
-        return self._scratch
-
     def mgu(self) -> Subst:
         """A triangular most general unifier of the equations; read-only."""
-        return self._mgu if self._mgu is not None else self._scratch_mgu()
+        if self.failed:
+            raise ValueError("failed store has no unifier")
+        if self._mgu is None:
+            sub = unify([(e.lhs, e.rhs) for e in self.equations])
+            assert sub is not None, "unsatisfiable store not marked failed"
+            object.__setattr__(self, "_mgu", sub)
+        return self._mgu
 
     def solved(self) -> Subst:
-        """Idempotent solved form of the equations unified in one pass.
-
-        It is not derived from a carried mgu: which variable of a class the
-        mgu keeps unbound depends on how the equations were batched into
-        conjoins, and the termination checker's views (analysis._live_view)
-        show that choice.
-        """
+        """The idempotent form of ``mgu()``, cached; read-only."""
         if self._solved is None:
-            object.__setattr__(self, "_solved", solved_form(self._scratch_mgu()))
+            object.__setattr__(self, "_solved", solved_form(self.mgu()))
         return self._solved
 
 
@@ -97,6 +95,14 @@ def conjoin(store: Store, items: Iterable) -> Store:
 
 def satisfiable(store: Store) -> bool:
     return not store.failed
+
+
+def solve(store: Store, prefer=frozenset()) -> Subst:
+    """Idempotent mgu of the store's equations unified in one pass, in the
+    order they were conjoined, binding the ``prefer`` side of each
+    variable-variable pair: the history fixes which variable stays free."""
+    sub = unify([(e.lhs, e.rhs) for e in store.equations], prefer=prefer)
+    return solved_form(sub)
 
 
 def entailment_witness(store: Store, exvars, eqs: Sequence[Equation]):
@@ -162,7 +168,7 @@ def guards_equivalent(guard_a: Sequence[Equation], guard_b: Sequence[Equation]) 
     return stores_equivalent(conjoin(TRUE, guard_a), conjoin(TRUE, guard_b))
 
 
-def project(store: Store, keep) -> tuple:
+def project(store: Store, keep, sigma: Optional[Subst] = None) -> tuple:
     """Equations equivalent to the store with everything outside ``keep``
     existentially quantified, as far as equations can express it.
 
@@ -170,63 +176,29 @@ def project(store: Store, keep) -> tuple:
     substituted out, pure links between keep variables surface as keep=keep
     equations). Non-eliminable locals remain, canonically renamed to _L1,
     _L2, ... in order of appearance; they read as existentially quantified.
+    ``sigma``, when given, equals ``solve(store, store.variables() - keep)``;
+    being idempotent, it gives one equation per bound keep variable.
     """
     if store.failed:
         return (FalseConstraint(),)
     keep = frozenset(keep)
-    local = frozenset(vars_of(store.equations)) - keep
-    sub = unify(
-        [(e.lhs, e.rhs) for e in store.equations], prefer=local
-    )
-    sigma = solved_form(sub)
+    if sigma is None:
+        sigma = solve(store, prefer=store.variables() - keep)
     out = []
     for v in sorted(keep & set(sigma), key=lambda v: v.name):
         t = sigma[v]
-        if isinstance(t, Var) and t in keep and t.name < v.name:
-            out.append(Equation(v, t))
-        elif isinstance(t, Var) and t in keep:
+        if isinstance(t, Var) and t in keep and t.name > v.name:
             out.append(Equation(t, v))
         else:
             out.append(Equation(v, t))
-    # keep-to-keep equations may come out doubled or reversed; normalize
-    seen = set()
-    uniq = []
-    for e in out:
-        key = (e.lhs, e.rhs)
-        if key not in seen and e.lhs != e.rhs:
-            seen.add(key)
-            uniq.append(e)
-    return canonical_locals(tuple(uniq), keep)
+    return canonical_locals(tuple(out), keep)
 
 
-def canonical_locals(obj, keep, prefix: str = "_L"):
+def canonical_locals(obj, keep):
     """Rename all variables outside ``keep`` to _L1, _L2, ... by first
     appearance (term order within the object)."""
     mapping: Subst = {}
-
-    def visit(t):
-        if isinstance(t, Var):
-            if t not in keep and t not in mapping:
-                mapping[t] = Var(f"{prefix}{len(mapping) + 1}")
-        else:
-            for a in getattr(t, "args", ()):
-                visit(a)
-
-    def visit_obj(o):
-        if isinstance(o, (Var,)) or hasattr(o, "functor"):
-            visit(o)
-        elif isinstance(o, Equation):
-            visit(o.lhs)
-            visit(o.rhs)
-        elif isinstance(o, FalseConstraint):
-            pass
-        elif isinstance(o, (tuple, list)):
-            for x in o:
-                visit_obj(x)
-        elif hasattr(o, "map_terms"):
-            o.map_terms(lambda t: (visit_obj(t), t)[1])
-        else:
-            raise TypeError(f"cannot canonicalize {o!r}")
-
-    visit_obj(obj)
+    for v in vars_in_order(obj):
+        if v not in keep:
+            mapping[v] = Var(f"_L{len(mapping) + 1}")
     return rename_vars(obj, mapping)

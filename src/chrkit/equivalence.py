@@ -33,28 +33,29 @@ def _match_term(ta, tb, rho: Dict, fixed, pa=None, pb=None) -> Optional[Dict]:
     """Extend the injective variable map rho so that ta renamed equals tb.
 
     With profile maps pa and pb, a variable is only mapped to one with the
-    same profile."""
-    if isinstance(ta, Var) and isinstance(tb, Var):
-        if ta in fixed or tb in fixed:
-            return rho if ta == tb else None
-        if ta in rho:
-            return rho if rho[ta] == tb else None
-        if tb in rho.values():
-            return None
-        if pa is not None and pa[ta] != pb[tb]:
-            return None
-        out = dict(rho)
-        out[ta] = tb
-        return out
-    if isinstance(ta, Compound) and isinstance(tb, Compound):
-        if ta.functor != tb.functor or len(ta.args) != len(tb.args):
-            return None
-        for x, y in zip(ta.args, tb.args):
-            rho = _match_term(x, y, rho, fixed, pa, pb)
-            if rho is None:
+    same profile. rho itself is never changed."""
+    out = dict(rho)
+    stack = [(ta, tb)]
+    while stack:
+        ta, tb = stack.pop()
+        if isinstance(ta, Var) and isinstance(tb, Var):
+            if ta in fixed or tb in fixed:
+                if ta != tb:
+                    return None
+            elif ta in out:
+                if out[ta] != tb:
+                    return None
+            elif tb in out.values() or (pa is not None and pa[ta] != pb[tb]):
                 return None
-        return rho
-    return None
+            else:
+                out[ta] = tb
+        elif isinstance(ta, Compound) and isinstance(tb, Compound):
+            if ta.functor != tb.functor or len(ta.args) != len(tb.args):
+                return None
+            stack.extend(zip(reversed(ta.args), reversed(tb.args)))
+        else:
+            return None
+    return out
 
 
 def _match_atom_sets(todo, avail, fixed, rho, idmap, pa=None, pb=None):
@@ -84,11 +85,8 @@ def _tokens_correspond(tok_a, tok_b, idmap) -> bool:
 
 
 def _constrained_vars(store: Store):
-    out = set()
-    for v, t in store.solved().items():
-        out.add(v)
-        out |= vars_of(t)
-    return out
+    sigma = store.solved()
+    return set(sigma) | vars_of(list(sigma.values()))
 
 
 def _stores_equivalent_mod(sa: Store, sb: Store, rho, fixed, pa, pb) -> bool:
@@ -139,19 +137,6 @@ def shape_key(atoms, store: Store):
     return tuple(sorted(map(_shape_key, atoms)))
 
 
-def _vars_in(terms) -> set:
-    """The variables of the given terms, by an explicit stack."""
-    out = set()
-    stack = list(terms)
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            out.add(t)
-        else:
-            stack.extend(t.args)
-    return out
-
-
 def var_profiles(atoms, store: Store, fixed) -> Dict[Var, tuple]:
     """A label for every variable of a non-failed state that each renaming
     allowed by ``states_equivalent_mod`` keeps.
@@ -167,7 +152,7 @@ def var_profiles(atoms, store: Store, fixed) -> Dict[Var, tuple]:
     """
     fixed = frozenset(fixed)
     mgu = store.mgu()
-    state_vars = _vars_in([a.atom for a in atoms] + list(mgu.values()))
+    state_vars = vars_of([a.atom for a in atoms] + list(mgu.values()))
     state_vars |= fixed
     state_vars.update(mgu)
     profiles = {}
@@ -336,14 +321,7 @@ def configs_correspond(
         return False
     k2 = [a for a in fused_atoms if a.ident not in k1_ids]
     for idmap in _id_bijections(list(std_store), k2):
-        mapped = set()
-        ok = True
-        for t in std_tokens:
-            if not all(i in idmap for i in t.idents):
-                ok = False
-                break
-            mapped.add(Token(t.rule_name, tuple(idmap[i] for i in t.idents)))
-        if ok and mapped == set(fused_tokens):
+        if _tokens_correspond(std_tokens, fused_tokens, idmap):
             return True
     return False
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..constraints import Store, canonical_locals, project
+from ..constraints import Store, canonical_locals, project, solve
 from ..equivalence import (
     configs_correspond,
     shape_key,
@@ -33,7 +33,7 @@ from ..equivalence import (
     states_equivalent_mod,
 )
 from ..syntax import annotate, print_item, strip_annotations
-from ..terms import FreshSupply, apply_subst, unify, vars_of
+from ..terms import FreshSupply, apply_subst, vars_of
 from . import annotated, standard
 
 _MODES = {"standard": standard, "annotated": annotated}
@@ -197,13 +197,12 @@ class AnswerSet:
 def render_answer(final: FinalState, goal_vars) -> QualifiedAnswer:
     if final.failed:
         return QualifiedAnswer((), (), True)
-    locals_first = vars_of(final.builtins.equations) - set(goal_vars)
-    sub = unify(
-        [(e.lhs, e.rhs) for e in final.builtins.equations], prefer=locals_first
-    )
-    atoms = tuple(apply_subst(a.atom, sub) for a in final.atoms)
-    keep = set(goal_vars) | vars_of(atoms)
-    eqs = project(final.builtins, keep)
+    store = final.builtins
+    sigma = solve(store, prefer=store.variables() - set(goal_vars))
+    atoms = tuple(apply_subst(a.atom, sigma) for a in final.atoms)
+    # the locals left in the atoms are roots of sigma, never bound, so
+    # sigma is also the solve that project would make for these keep vars
+    eqs = project(store, set(goal_vars) | vars_of(atoms), sigma)
     atoms, eqs = canonical_locals((tuple(sorted(atoms, key=print_item)), eqs), goal_vars)
     return QualifiedAnswer(atoms, eqs, False)
 

@@ -244,22 +244,29 @@ class _Parser:
         self.sc = _Scanner(text)
 
     def term(self) -> Term:
-        kind, val, _ = self.sc.peek()
-        if kind == "var":
-            self.sc.next()
-            return Var(val)
-        if kind == "name":
-            self.sc.next()
-            if self.sc.peek()[0] == "(":
-                self.sc.next()
-                args = [self.term()]
-                while self.sc.peek()[0] == ",":
-                    self.sc.next()
-                    args.append(self.term())
-                self.sc.expect(")")
-                return Compound(val, tuple(args))
-            return Compound(val, ())
-        self.sc.fail("expected a term")
+        sc = self.sc
+        open_ = []  # (functor, arguments so far) of the compounds being read
+        while True:
+            kind, val, _ = sc.peek()
+            if kind not in ("var", "name"):
+                sc.fail("expected a term")
+            sc.next()
+            if kind == "name" and sc.peek()[0] == "(":
+                sc.next()
+                open_.append((val, []))
+                continue
+            t = Var(val) if kind == "var" else Compound(val, ())
+            # t is complete: add it, closing every compound it completes
+            while open_:
+                open_[-1][1].append(t)
+                if sc.peek()[0] == ",":
+                    sc.next()
+                    break
+                sc.expect(")")
+                functor, args = open_.pop()
+                t = Compound(functor, tuple(args))
+            else:
+                return t
 
     def item(self):
         """One constraint: equation, true/false, or (possibly identified) atom."""
@@ -390,11 +397,23 @@ def parse_goal(text: str) -> tuple:
 # ---------------------------------------------------------------- printing
 
 def print_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.functor
-    return f"{t.functor}({','.join(print_term(a) for a in t.args)})"
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Var):
+            out.append(t.name)
+        elif not t.args:
+            out.append(t.functor)
+        else:
+            # f(a1,...,an) is popped as "f(", a1, ",", ..., an, ")"
+            stack.append(")")
+            for a in reversed(t.args):
+                stack += (a, ",")
+            stack[-1] = f"{t.functor}("
+    return "".join(out)
 
 
 def print_item(it) -> str:

@@ -4,6 +4,11 @@ Terms are immutable: a variable (name starting with an uppercase letter or
 underscore) or a compound (lowercase functor plus argument tuple). Constants
 are zero-arity compounds. Unification always runs the occurs check, so the
 equational theory is the one of finite trees.
+
+No function here recurses over term depth, which a user's term or one
+built through a triangular substitution can make exceed the recursion
+limit: every walk keeps its own stack. ``map_terms`` recurses only over
+the shallow nesting of the objects that hold terms.
 """
 
 from __future__ import annotations
@@ -55,31 +60,45 @@ class FalseConstraint:
 BuiltinItem = Union[Equation, FalseConstraint]
 
 
-def vars_of(obj) -> set:
-    """Free variables of a term, an equation, or any nesting of iterables."""
-    out: set = set()
-    _collect_vars(obj, out)
+def vars_in_order(obj) -> dict:
+    """The free variables of a term, an equation, or any nesting of
+    iterables and objects with a ``map_terms`` method, as the keys of a
+    dict in order of first appearance (preorder, left to right)."""
+    out: dict = {}
+    # a stack of iterators over children, each resumed where the walk left it
+    stack = [iter((obj,))]
+    while stack:
+        for o in stack[-1]:
+            cls = type(o)
+            if cls is Var:
+                out[o] = None
+            elif cls is Compound:
+                if o.args:
+                    stack.append(iter(o.args))
+                    break
+            elif cls is Equation:
+                stack.append(iter((o.lhs, o.rhs)))
+                break
+            elif cls in (tuple, list, set, frozenset):
+                stack.append(iter(o))
+                break
+            elif cls is FalseConstraint:
+                pass
+            elif hasattr(o, "map_terms"):
+                parts: list = []
+                o.map_terms(lambda t: (parts.append(t), t)[1])
+                stack.append(iter(parts))
+                break
+            else:
+                raise TypeError(f"cannot collect variables from {o!r}")
+        else:
+            stack.pop()
     return out
 
 
-def _collect_vars(obj, out: set) -> None:
-    if isinstance(obj, Var):
-        out.add(obj)
-    elif isinstance(obj, Compound):
-        for a in obj.args:
-            _collect_vars(a, out)
-    elif isinstance(obj, Equation):
-        _collect_vars(obj.lhs, out)
-        _collect_vars(obj.rhs, out)
-    elif isinstance(obj, FalseConstraint):
-        pass
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        for x in obj:
-            _collect_vars(x, out)
-    elif hasattr(obj, "map_terms"):
-        obj.map_terms(lambda t: (_collect_vars(t, out), t)[1])
-    else:
-        raise TypeError(f"cannot collect variables from {obj!r}")
+def vars_of(obj) -> set:
+    """Free variables of a term, an equation, or any nesting of iterables."""
+    return set(vars_in_order(obj))
 
 
 Subst = dict  # Var -> Term, triangular; use resolve() to read through chains
@@ -94,29 +113,61 @@ def walk(t: Term, sub: Subst) -> Term:
     return t
 
 
+def _rebuild(t: Term, sub: Subst, chase: bool) -> Term:
+    """The term with each variable V replaced by its image through ``sub``:
+    the end of V's chain of bindings when ``chase`` (a triangular
+    substitution), ``sub.get(V, V)`` otherwise (a renaming). A compound
+    image is rebuilt in turn."""
+    # a frame per compound: functor, iterator over args, args rebuilt so
+    # far; the bottom frame collects the result
+    stack = [(None, iter((t,)), [])]
+    while True:
+        functor, rest, done = stack[-1]
+        for a in rest:
+            if isinstance(a, Var):
+                a = walk(a, sub) if chase else sub.get(a, a)
+                if isinstance(a, Var):
+                    done.append(a)
+                    continue
+            if a.args:
+                stack.append((a.functor, iter(a.args), []))
+                break
+            done.append(a)
+        else:
+            stack.pop()
+            if not stack:
+                return done[0]
+            stack[-1][2].append(Compound(functor, tuple(done)))
+
+
 def resolve(t: Term, sub: Subst) -> Term:
     """Apply a (possibly triangular) substitution exhaustively."""
     t = walk(t, sub)
     if isinstance(t, Var) or not t.args:
         return t
-    return Compound(t.functor, tuple(resolve(a, sub) for a in t.args))
+    return _rebuild(t, sub, True)
+
+
+def map_terms(obj, fn, *args):
+    """Structure-preserving application of ``fn(term, *args)`` to every
+    term held by a term, an equation, a tuple or list of them, or an
+    object with a ``map_terms`` method."""
+    if isinstance(obj, (Var, Compound)):
+        return fn(obj, *args)
+    if isinstance(obj, Equation):
+        return Equation(fn(obj.lhs, *args), fn(obj.rhs, *args))
+    if isinstance(obj, FalseConstraint):
+        return obj
+    if type(obj) in (tuple, list):
+        return type(obj)(map_terms(x, fn, *args) for x in obj)
+    if hasattr(obj, "map_terms"):
+        return obj.map_terms(lambda t: map_terms(t, fn, *args))
+    raise TypeError(f"cannot map terms in {obj!r}")
 
 
 def apply_subst(obj, sub: Subst):
     """Structure-preserving substitution application."""
-    if isinstance(obj, (Var, Compound)):
-        return resolve(obj, sub)
-    if isinstance(obj, Equation):
-        return Equation(resolve(obj.lhs, sub), resolve(obj.rhs, sub))
-    if isinstance(obj, FalseConstraint):
-        return obj
-    if isinstance(obj, tuple):
-        return tuple(apply_subst(x, sub) for x in obj)
-    if isinstance(obj, list):
-        return [apply_subst(x, sub) for x in obj]
-    if hasattr(obj, "map_terms"):
-        return obj.map_terms(lambda t: apply_subst(t, sub))
-    raise TypeError(f"cannot substitute into {obj!r}")
+    return map_terms(obj, resolve, sub)
 
 
 def rename_vars(obj, mapping: Subst):
@@ -125,35 +176,10 @@ def rename_vars(obj, mapping: Subst):
     Unlike apply_subst, images are never looked up again, so mappings that
     swap or chain names (X -> Y, Y -> X) behave as a plain bijection.
     """
-
-    def term(t: Term) -> Term:
-        if isinstance(t, Var):
-            return mapping.get(t, t)
-        if not t.args:
-            return t
-        return Compound(t.functor, tuple(term(a) for a in t.args))
-
-    def go(obj):
-        if isinstance(obj, (Var, Compound)):
-            return term(obj)
-        if isinstance(obj, Equation):
-            return Equation(term(obj.lhs), term(obj.rhs))
-        if isinstance(obj, FalseConstraint):
-            return obj
-        if isinstance(obj, tuple):
-            return tuple(go(x) for x in obj)
-        if isinstance(obj, list):
-            return [go(x) for x in obj]
-        if hasattr(obj, "map_terms"):
-            return obj.map_terms(go)
-        raise TypeError(f"cannot rename in {obj!r}")
-
-    return go(obj)
+    return map_terms(obj, _rebuild, mapping, False)
 
 
 def occurs_in(v: Var, t: Term, sub: Subst) -> bool:
-    # explicit stack: terms reached through a triangular substitution can be
-    # deeper than the interpreter's recursion limit
     stack = [t]
     while stack:
         t = walk(stack.pop(), sub)

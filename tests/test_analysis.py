@@ -36,6 +36,18 @@ def test_cycle_witness_does_not_depend_on_how_the_store_was_built():
     assert (report.cycle.first_depth, report.cycle.repeat_depth) == (0, 1)
 
 
+def test_live_views_keep_the_history_orientation():
+    # views that kept goal variables as class representatives would see
+    # r2's step repeat the goal's view and report a 1-step cycle here
+    p = parse_program(
+        "r0 @ q(W) <=> g(f(f(Y)),W)=a | true.\n"
+        "r1 @ q(Z) <=> b=W.\n"
+        "r2 @ q(W) \\ s(X) <=> s(X), X=Y.\n"
+    )
+    report = check_normal_termination(p, parse_goal("s(D), q(D), s(A)"), max_applies=1)
+    assert (report.status, report.cycle, report.truncated) == ("unknown", None, True)
+
+
 def test_propositional_self_loop_diverges():
     p = parse_program("r @ p <=> p.")
     assert check_normal_termination(p, parse_goal("p")).status == "diverges"

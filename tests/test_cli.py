@@ -1,13 +1,18 @@
 """Command line interface, driven through main(argv)."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chrkit.cli
 from chrkit.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, mutated
 
 
 def fx(name):
@@ -273,14 +278,27 @@ def test_deep_terms_end_with_an_exit_code_not_a_traceback(tmp_path, capsys):
         "r @ p(s(X), Y) <=> Y = s(Z), p(X, Z), d(Z).\nz @ p(z, Y) <=> Y = z.\n"
     )
     depth = 400
+
+    def nat(n):
+        return f"{'s(' * n}z{')' * n}"
+
     code, out, err = run_cli(
         capsys, "run", str(prog), "--max-depth", str(depth + 1),
-        "--goal", f"p({'s(' * depth}z{')' * depth}, N)",
+        "--goal", f"p({nat(depth)}, N)",
     )
-    assert code in (0, 1)
-    assert "Traceback" not in err
-    if code == 1:
-        assert err.startswith("chrkit: ") and err.count("\n") == 1
+    assert (code, err) == (0, "")
+    trail = sorted(f"d({nat(k)})" for k in range(depth))
+    assert out == ", ".join(trail + [f"N={nat(depth)}"]) + "\n"
+
+
+def test_a_goal_nested_5000_deep_runs_to_its_answer(tmp_path, capsys):
+    prog = tmp_path / "wrap.chr"
+    prog.write_text("r @ p(X, Y) <=> Y = f(X), q(Y).\n")
+    depth = 5000
+    deep = f"{'g(' * depth}a{')' * depth}"
+    code, out, err = run_cli(capsys, "run", str(prog), "--goal", f"p({deep}, N)")
+    assert (code, err) == (0, "")
+    assert out == f"q(f({deep})), N=f({deep})\n"
 
 
 def test_library_errors_become_one_line_messages(monkeypatch, capsys):
@@ -291,3 +309,59 @@ def test_library_errors_become_one_line_messages(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "parse", fx("mau"))
     assert code == 1
     assert err == "chrkit: ValueError: first line second line\n"
+
+
+FUZZ_GOALS = ("p(X)", "f(X, Y), f(Y, Z)", "g(a, R)", "h, h", "V=d, p(V)", "q(b), h(V)")
+
+
+def _nested(prefix, depth, leaf):
+    return prefix * depth + leaf + ")" * depth
+
+
+@st.composite
+def fuzz_calls(draw):
+    """A command on a mutated fixture program, with a mutated goal or one
+    holding a term at least 2,000 deep or 200 arguments wide."""
+    fixture = draw(st.sampled_from(sorted(FIXTURES.glob("*.chr"))))
+    text = fixture.read_text()
+    rule = draw(st.sampled_from([line.split("@")[0].strip()
+                                 for line in text.splitlines() if "@" in line]))
+    depth = draw(st.integers(2000, 2500))
+    width = draw(st.integers(200, 300))
+    arg = draw(st.sampled_from((
+        _nested("s(", depth, "z"),
+        _nested("g(a,", depth, "X"),
+        "w(" + ",".join(draw(st.sampled_from(("a", "X", "f(Y)"))) for _ in range(width)) + ")",
+    )))
+    goal = draw(st.one_of(
+        st.sampled_from(FUZZ_GOALS).flatmap(mutated),
+        st.sampled_from((f"p({arg})", f"f({arg}, Y), f(Y, Z)", f"X = {arg}, p(X)")),
+    ))
+    command = draw(st.sampled_from(
+        ("parse", "annotate", "run", "verify", "check-replace", "unfold")
+    ))
+    return draw(st.one_of(st.just(text), mutated(text))), command, rule, goal
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzz_calls())
+def test_any_input_ends_with_an_exit_code_not_a_traceback(call):
+    text, command, rule, goal = call
+    with tempfile.TemporaryDirectory() as tmp:
+        prog = Path(tmp) / "fuzz.chr"
+        prog.write_text(text)
+        argv = [command, str(prog)]
+        if command in ("run", "verify"):
+            argv += ["--goal", goal, "--max-depth", "3", "--max-states", "40"]
+        if command == "verify":
+            argv += ["--witness-dir", str(Path(tmp) / "w")]
+        if command in ("check-replace", "unfold"):
+            argv += ["--rule", rule]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()

@@ -32,6 +32,18 @@ def test_answers_project_onto_goal_variables():
     assert any("X=a" in t for t in ans.texts)
 
 
+def test_answers_show_the_order_of_the_equation_history():
+    # the one-pass solve binds the left variable of the goal's link, so the
+    # atoms show the right one; a representative chosen regardless of the
+    # history would print both goals alike
+    p = parse_program("r @ a(Z) <=> p(Z).")
+    for semantics in ("standard", "annotated"):
+        ans = qualified_answers(p, parse_goal("p(X), q(Y), X=Y"), semantics)
+        assert ans.texts == ("p(Y), q(Y), Y=X",)
+        ans = qualified_answers(p, parse_goal("p(X), q(Y), Y=X"), semantics)
+        assert ans.texts == ("p(X), q(X), Y=X",)
+
+
 def test_empty_final_state_renders_as_true():
     ans = qualified_answers(load("mau"), parse_goal("p(a)"))
     assert ans.texts == ("true",)

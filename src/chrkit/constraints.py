@@ -51,9 +51,10 @@ class Store:
     _mgu: Optional[dict] = field(default=None, compare=False, repr=False)
     _solved: Optional[dict] = field(default=None, compare=False, repr=False)
     _vars: Optional[frozenset] = field(default=None, compare=False, repr=False)
+    _constrained: Optional[frozenset] = field(default=None, compare=False, repr=False)
 
     def variables(self) -> frozenset:
-        """The variables of the equations; conjoin extends the parent's."""
+        """The variables of the equations, collected on first use."""
         if self._vars is None:
             object.__setattr__(self, "_vars", frozenset(vars_of(self.equations)))
         return self._vars
@@ -74,6 +75,15 @@ class Store:
             object.__setattr__(self, "_solved", solved_form(self.mgu()))
         return self._solved
 
+    def constrained_vars(self) -> frozenset:
+        """The variables ``solved()`` binds or mentions, cached."""
+        if self._constrained is None:
+            sigma = self.solved()
+            object.__setattr__(
+                self, "_constrained", frozenset(sigma) | vars_of(list(sigma.values()))
+            )
+        return self._constrained
+
 
 TRUE = Store()
 FAILED = Store(failed=True)
@@ -90,7 +100,7 @@ def conjoin(store: Store, items: Iterable) -> Store:
     sub = unify([(e.lhs, e.rhs) for e in new], base=store.mgu())
     if sub is None:
         return FAILED
-    return Store(store.equations + new, _mgu=sub, _vars=store.variables() | vars_of(new))
+    return Store(store.equations + new, _mgu=sub)
 
 
 def satisfiable(store: Store) -> bool:

@@ -84,18 +84,13 @@ def _tokens_correspond(tok_a, tok_b, idmap) -> bool:
     return mapped == set(tok_b)
 
 
-def _constrained_vars(store: Store):
-    sigma = store.solved()
-    return set(sigma) | vars_of(list(sigma.values()))
-
-
 def _stores_equivalent_mod(sa: Store, sb: Store, rho, fixed, pa, pb) -> bool:
     """Can rho be extended over the leftover variables so the stores are
     equivalent theories? Only variables with equal profiles are paired."""
     if sa.failed or sb.failed:
         return sa.failed and sb.failed
-    la = sorted(_constrained_vars(sa) - set(rho) - fixed, key=lambda v: v.name)
-    lb = _constrained_vars(sb) - set(rho.values()) - fixed
+    la = sorted(sa.constrained_vars() - set(rho) - fixed, key=lambda v: v.name)
+    lb = sb.constrained_vars() - set(rho.values()) - fixed
     if len(la) != len(lb):
         return False
     sig_a = sa.solved()

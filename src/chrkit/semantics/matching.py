@@ -4,17 +4,24 @@ A firing is one way a rule can react with the current store: an injective
 assignment of store atoms to head positions (kept first, then removed) such
 that the built-in store entails the induced argument equations together with
 the guard, and no token for that rule/atom combination has been recorded.
+
+Firings are found the way compiled CHR finds them. The atoms are indexed by
+functor and arity, and each head position draws its candidates from its own
+bucket. A renamed head's variables are fresh, so the argument equations are
+entailed exactly when the head matches its atom one way: the head pattern
+is read as it is, the atom's arguments through ``walk`` on the store's mgu,
+and a head variable that repeats must meet identical store terms. Only a
+guard goes to the entailment check, instantiated with the matched terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import List
 
 from ..constraints import Store, entails_exists
 from ..syntax import Rule, Token
-from ..terms import Equation, FreshSupply, rename_apart, vars_of
+from ..terms import Equation, FreshSupply, Var, rename_apart, rename_vars, vars_of, walk
 
 
 @dataclass(frozen=True)
@@ -31,11 +38,69 @@ class Firing:
         return self.token.idents
 
 
-def _positions_fit(atoms, heads) -> bool:
-    return all(
-        a.atom.functor == h.functor and len(a.atom.args) == len(h.args)
-        for a, h in zip(atoms, heads)
-    )
+def _identical(s, t, mgu) -> bool:
+    """Are two store terms the same term under the mgu?"""
+    stack = [(s, t)]
+    while stack:
+        s, t = stack.pop()
+        if s is t:
+            continue
+        s, t = walk(s, mgu), walk(t, mgu)
+        if type(s) is Var or type(t) is Var:
+            if not (type(s) is type(t) and s.name == t.name):
+                return False
+        elif s.functor != t.functor or len(s.args) != len(t.args):
+            return False
+        else:
+            stack.extend(zip(s.args, t.args))
+    return True
+
+
+def _match(head, atom, theta, mgu):
+    """theta extended so that the head pattern, its variables mapped
+    through it, equals the atom under the mgu; None when there is none.
+    The head's functor and arity are the atom's."""
+    theta = dict(theta)
+    stack = list(zip(reversed(head.args), reversed(atom.args)))
+    while stack:
+        p, t = stack.pop()
+        if type(p) is Var:
+            if p not in theta:
+                theta[p] = t
+            elif not _identical(theta[p], t, mgu):
+                return None
+            continue
+        t = walk(t, mgu)
+        if type(t) is Var or t.functor != p.functor or len(t.args) != len(p.args):
+            return None
+        stack.extend(zip(reversed(p.args), reversed(t.args)))
+    return theta
+
+
+def _assignments(heads, pools, ordered, mgu):
+    """(positions, theta) for each injective choice of one atom per head
+    from the head's pool of positions in ``ordered``, in lexicographic order
+    of the positions. With an mgu, only choices where every head matches
+    its atom, theta mapping the head variables to store terms; without
+    one, every choice, theta empty."""
+    # a frame per filled head: its pool iterator, the positions so far and
+    # theta so far
+    stack = [(iter(pools[0]), (), {})]
+    while stack:
+        rest, chosen, theta = stack[-1]
+        for j in rest:
+            if j in chosen:
+                continue
+            t2 = theta if mgu is None else _match(heads[len(chosen)], ordered[j].atom, theta, mgu)
+            if t2 is None:
+                continue
+            if len(chosen) + 1 == len(heads):
+                yield chosen + (j,), t2
+            else:
+                stack.append((iter(pools[len(chosen) + 1]), chosen + (j,), t2))
+                break
+        else:
+            stack.pop()
 
 
 def enumerate_firings(program, atoms, builtins: Store, tokens, fresh: FreshSupply = None) -> List[Firing]:
@@ -45,16 +110,34 @@ def enumerate_firings(program, atoms, builtins: Store, tokens, fresh: FreshSuppl
     atoms sorted by identifier. Each rule is renamed apart once per call.
     """
     ordered = sorted(atoms, key=lambda a: a.ident)
+    buckets: dict = {}
+    for j, a in enumerate(ordered):
+        buckets.setdefault((a.atom.functor, len(a.atom.args)), []).append(j)
+    mgu = None if builtins.failed else builtins.mgu()
+    atom_vars: dict = {}
+
+    def vars_at(j):
+        if j not in atom_vars:
+            atom_vars[j] = vars_of(ordered[j].atom)
+        return atom_vars[j]
+
     out: List[Firing] = []
     for idx, rule in enumerate(program.rules):
-        renamed, _ = rename_apart(rule, fresh=fresh)
+        renamed, renaming = rename_apart(rule, fresh=fresh)
         heads = renamed.kept + renamed.removed
-        if len(heads) > len(ordered):
+        pools = [buckets.get((h.functor, len(h.args)), ()) for h in heads]
+        if not all(pools):
             continue
-        head_vars = vars_of((renamed.kept, renamed.removed))
-        for combo in permutations(ordered, len(heads)):
-            if not _positions_fit(combo, heads):
-                continue
+        # A goal variable named like a fresh one can share its name with a
+        # head variable. The one-way match reads the two apart, the
+        # entailment check as one, so such a rule, like any rule on a
+        # failed store, takes the check on every assignment.
+        one_way = mgu is not None and all(
+            vars_at(j).isdisjoint(renaming.values()) for pool in pools for j in pool
+        )
+        head_vars = None if one_way else vars_of(heads)
+        for chosen, theta in _assignments(heads, pools, ordered, mgu if one_way else None):
+            combo = tuple(ordered[j] for j in chosen)
             token = Token(rule.name, tuple(a.ident for a in combo))
             if token in tokens:
                 continue
@@ -63,7 +146,14 @@ def enumerate_firings(program, atoms, builtins: Store, tokens, fresh: FreshSuppl
                 for a, h in zip(combo, heads)
                 for i in range(len(h.args))
             )
-            if not entails_exists(builtins, head_vars, eqs + renamed.guard):
+            if one_way:
+                # theta's terms share no variable with its keys, so
+                # rename_vars applies it in one simultaneous step
+                if renamed.guard and not entails_exists(
+                    builtins, (), rename_vars(renamed.guard, theta)
+                ):
+                    continue
+            elif not entails_exists(builtins, head_vars, eqs + renamed.guard):
                 continue
             nk = len(renamed.kept)
             out.append(Firing(idx, renamed, combo[:nk], combo[nk:], eqs, token))

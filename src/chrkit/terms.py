@@ -206,9 +206,11 @@ def unify(pairs, frozen=frozenset(), prefer=frozenset(), base: Optional[Subst] =
     while stack:
         s, t = stack.pop()
         s, t = walk(s, sub), walk(t, sub)
-        if s == t:
+        if s is t:
             continue
         if isinstance(s, Var) and isinstance(t, Var):
+            if s.name == t.name:
+                continue
             if s in frozen and t in frozen:
                 return None
             if s in frozen:

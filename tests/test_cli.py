@@ -301,6 +301,25 @@ def test_a_goal_nested_5000_deep_runs_to_its_answer(tmp_path, capsys):
     assert out == f"q(f({deep})), N=f({deep})\n"
 
 
+@pytest.mark.parametrize("semantics", ["standard", "annotated"])
+@pytest.mark.parametrize("goal, answer", [
+    ("X = {t}, X = {t}, p(X)", "q({t}), X={t}"),
+    ("p({t}), p({t})", "q({t}), q({t})"),
+])
+def test_two_equal_700_deep_terms_are_compared_without_recursion(
+    tmp_path, capsys, semantics, goal, answer
+):
+    prog = tmp_path / "copy.chr"
+    prog.write_text("r @ p(X) <=> q(X).\n")
+    deep = _nested("s(", 700, "z")
+    code, out, err = run_cli(
+        capsys, "run", str(prog), "--semantics", semantics,
+        "--goal", goal.format(t=deep),
+    )
+    assert (code, err) == (0, "")
+    assert out == answer.format(t=deep) + "\n"
+
+
 def test_library_errors_become_one_line_messages(monkeypatch, capsys):
     def broken(args):
         raise ValueError("first line\nsecond line")

@@ -83,7 +83,7 @@ def check_normal_termination(
     """
     program = fit_program(program, "annotated")
     goal_vars = frozenset(vars_of(tuple(goal)))
-    fresh = FreshSupply("_R")
+    fresh = FreshSupply("_R", goal_vars)
     walk = Walk((annotated.initial(goal), (), ()), max_applies, max_states)
     for (cfg, history, trace), depth in walk:
         cfg, _ = annotated.drain(cfg)
@@ -166,7 +166,7 @@ def probe_solve_orders(
     """
     program = fit_program(program, "annotated")
     goal_vars = frozenset(vars_of(tuple(goal)))
-    fresh = FreshSupply("_R")
+    fresh = FreshSupply("_R", goal_vars)
     walk = Walk((annotated.initial(goal), (), 0, ()), max_steps, max_states)
     for (cfg, history, applies, trace), steps in walk:
         if cfg.failed:

@@ -24,13 +24,13 @@ variable frozen; for equality over finite trees this is exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .terms import (
     Equation,
     FalseConstraint,
+    FreshSupply,
     Subst,
     Var,
     apply_subst,
@@ -131,10 +131,8 @@ def entailment_witness(store: Store, exvars, eqs: Sequence[Equation]):
     clash = exvars and exvars & store.variables()
     back: Subst = {}
     if clash:
-        taken = store.variables() | vars_of(eqs)
-        names = (Var(f"_E{i}") for i in itertools.count(1))
-        fresh = (v for v in names if v not in taken)
-        rename = {v: next(fresh) for v in sorted(clash, key=lambda v: v.name)}
+        fresh = FreshSupply("_E", store.variables() | vars_of(eqs))
+        rename = {v: fresh.fresh() for v in sorted(clash, key=lambda v: v.name)}
         back = {w: v for v, w in rename.items()}
         eqs = rename_vars(tuple(eqs), rename)
         exvars = (exvars - clash) | frozenset(back)
@@ -206,9 +204,8 @@ def project(store: Store, keep, sigma: Optional[Subst] = None) -> tuple:
 
 def canonical_locals(obj, keep):
     """Rename all variables outside ``keep`` to _L1, _L2, ... by first
-    appearance (term order within the object)."""
-    mapping: Subst = {}
-    for v in vars_in_order(obj):
-        if v not in keep:
-            mapping[v] = Var(f"_L{len(mapping) + 1}")
+    appearance (term order within the object), skipping the names of
+    ``keep``."""
+    fresh = FreshSupply("_L", keep)
+    mapping: Subst = {v: fresh.fresh() for v in vars_in_order(obj) if v not in keep}
     return rename_vars(obj, mapping)

@@ -250,23 +250,6 @@ def _multiset_equal(xs, ys) -> bool:
     return sorted(xs, key=repr) == sorted(ys, key=repr)
 
 
-def _id_bijections(atoms_a, atoms_b):
-    """Bijections between two IdAtom collections whose atoms are equal as
-    terms (no renaming)."""
-    if not atoms_a:
-        if not atoms_b:
-            yield {}
-        return
-    first = atoms_a[0]
-    for j, cand in enumerate(atoms_b):
-        if cand.atom != first.atom:
-            continue
-        for rest in _id_bijections(atoms_a[1:], atoms_b[:j] + atoms_b[j + 1:]):
-            out = dict(rest)
-            out[first.ident] = cand.ident
-            yield out
-
-
 def configs_correspond(
     goal,
     std_store,
@@ -284,10 +267,12 @@ def configs_correspond(
     The fused store must contain, for each not-yet-introduced user constraint
     of the goal (left to right), the same atom pre-stamped with the exact
     identifier the two-store side is about to hand out, untouched by any
-    token; the remaining fused atoms must match the introduced store under an
-    identifier bijection that carries the token store across. Pending
-    built-ins and the built-in stores must agree, and the counters coincide
-    once the pending introductions are accounted for.
+    token; the remaining fused atoms must be the introduced store, identifier
+    for identifier, under the same token store. Both readings hand out the
+    same identifiers by construction: the goal's atoms are 1..n and a fired
+    body's atoms follow the counter in body order. Pending built-ins and the
+    built-in stores must agree, and the counters coincide once the pending
+    introductions are accounted for.
     """
     goal_atoms = [g for g in goal if isinstance(g, Compound)]
     goal_builtins = [g for g in goal if isinstance(g, (Equation, FalseConstraint))]
@@ -314,11 +299,8 @@ def configs_correspond(
     token_ids = {i for t in fused_tokens for i in t.idents}
     if k1_ids & token_ids:
         return False
-    k2 = [a for a in fused_atoms if a.ident not in k1_ids]
-    for idmap in _id_bijections(list(std_store), k2):
-        if _tokens_correspond(std_tokens, fused_tokens, idmap):
-            return True
-    return False
+    introduced = {a.ident: a.atom for a in fused_atoms if a.ident not in k1_ids}
+    return introduced == {a.ident: a.atom for a in std_store} and std_tokens == fused_tokens
 
 
 def rules_isomorphic(ra, rb) -> bool:

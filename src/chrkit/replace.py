@@ -23,12 +23,13 @@ examples are reproduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .constraints import equations_satisfiable, guards_equivalent
 from .syntax import IdAtom, Program, Rule, Token
-from .terms import Equation, FreshSupply, rename_apart, vars_of
+from .semantics.matching import argument_equations, functor_index, head_assignments
+from .terms import FreshSupply, rename_apart, vars_of
 from .unfold import unfold_all, unfold_sites
 
 
@@ -42,18 +43,6 @@ class Hazard:
     detail: str
 
 
-def _head_fits(atom: IdAtom, head) -> bool:
-    return atom.atom.functor == head.functor and len(atom.atom.args) == len(head.args)
-
-
-def _position_equations(assigned) -> tuple:
-    return tuple(
-        Equation(a.atom.args[i], h.args[i])
-        for a, h in assigned
-        for i in range(len(h.args))
-    )
-
-
 def deletion_hazards(program: Program, target_index: int) -> List[Hazard]:
     """Rules whose run-time firings on the target's body atoms are not
     covered by any unfold site."""
@@ -63,24 +52,25 @@ def deletion_hazards(program: Program, target_index: int) -> List[Hazard]:
     body_atoms = sorted(
         (b for b in r.body if isinstance(b, IdAtom)), key=lambda a: a.ident
     )
+    index = functor_index(body_atoms)
     covered = {(s.source_index, s.idents) for s in unfold_sites(program, target_index)}
+    target_vars = vars_of(r)
     out: List[Hazard] = []
     for si, source in enumerate(program.rules):
-        v, _ = rename_apart(source, fresh=FreshSupply("_H"))
+        v, _ = rename_apart(source, fresh=FreshSupply("_H", target_vars))
         heads = v.kept + v.removed
         frozen = vars_of((v.guard, v.body)) - vars_of((v.kept, v.removed))
         width = len(heads)
 
         # run-time match on the whole head that no unfold site covers
-        for combo in permutations(body_atoms, width):
-            if not all(_head_fits(a, h) for a, h in zip(combo, heads)):
-                continue
+        for chosen, _ in head_assignments(heads, body_atoms, index):
+            combo = tuple(body_atoms[j] for j in chosen)
             ids = tuple(a.ident for a in combo)
             if Token(source.name, ids) in r.tokens:
                 continue
             if (si, ids) in covered:
                 continue
-            eqs = _position_equations(zip(combo, heads))
+            eqs = argument_equations(combo, heads)
             if equations_satisfiable(r.guard + eqs + v.guard, frozen):
                 out.append(
                     Hazard(
@@ -104,21 +94,21 @@ def deletion_hazards(program: Program, target_index: int) -> List[Hazard]:
             for subset in combinations(range(width), size)
         ]
         for subset in position_sets:
-            for combo in permutations(body_atoms, len(subset)):
-                pairs = [(a, heads[p]) for a, p in zip(combo, subset)]
-                if not all(_head_fits(a, h) for a, h in pairs):
-                    continue
-                eqs = _position_equations(pairs)
+            part = [heads[p] for p in subset]
+            for chosen, _ in head_assignments(part, body_atoms, index):
+                combo = tuple(body_atoms[j] for j in chosen)
+                eqs = argument_equations(combo, part)
                 if equations_satisfiable(r.guard + eqs + v.guard, frozen):
+                    ids = tuple(a.ident for a in combo)
                     out.append(
                         Hazard(
                             "partial-head",
                             si,
                             source.name,
-                            tuple(a.ident for a in combo),
+                            ids,
                             tuple(subset),
                             f"{source.name} could consume body atoms "
-                            f"{tuple(a.ident for a in combo)} of {r.name} "
+                            f"{ids} of {r.name} "
                             "together with atoms from outside the rule",
                         )
                     )

@@ -7,11 +7,13 @@ the guard, and no token for that rule/atom combination has been recorded.
 
 Firings are found the way compiled CHR finds them. The atoms are indexed by
 functor and arity, and each head position draws its candidates from its own
-bucket. A renamed head's variables are fresh, so the argument equations are
-entailed exactly when the head matches its atom one way: the head pattern
-is read as it is, the atom's arguments through ``walk`` on the store's mgu,
-and a head variable that repeats must meet identical store terms. Only a
-guard goes to the entailment check, instantiated with the matched terms.
+bucket. A renamed head's variables are fresh, named apart from the atoms'
+by the supply, so the argument equations are entailed exactly when the head
+matches its atom one way: the head pattern is read as it is, the atom's
+arguments through ``walk`` on the store's mgu, and a head variable that
+repeats must meet identical store terms. A failed store entails anything,
+so there every assignment matches. Only a guard goes to the entailment
+check, instantiated with the matched terms.
 """
 
 from __future__ import annotations
@@ -77,12 +79,34 @@ def _match(head, atom, theta, mgu):
     return theta
 
 
-def _assignments(heads, pools, ordered, mgu):
-    """(positions, theta) for each injective choice of one atom per head
-    from the head's pool of positions in ``ordered``, in lexicographic order
-    of the positions. With an mgu, only choices where every head matches
-    its atom, theta mapping the head variables to store terms; without
-    one, every choice, theta empty."""
+def argument_equations(atoms, heads) -> tuple:
+    """The equations between each atom's arguments and its head's."""
+    return tuple(
+        Equation(a.atom.args[i], h.args[i])
+        for a, h in zip(atoms, heads)
+        for i in range(len(h.args))
+    )
+
+
+def functor_index(ordered) -> dict:
+    """The positions of the identified atoms in ``ordered`` by the functor
+    and arity of their atom, each bucket in order."""
+    buckets: dict = {}
+    for j, a in enumerate(ordered):
+        buckets.setdefault((a.atom.functor, len(a.atom.args)), []).append(j)
+    return buckets
+
+
+def head_assignments(heads, ordered, index, mgu=None):
+    """(positions, theta) for each injective choice of one atom in
+    ``ordered`` per head, drawn from the head's bucket of the atoms'
+    ``functor_index``, in lexicographic order of the positions. With an
+    mgu, only choices where every head matches its atom, theta mapping the
+    head variables to store terms; without one, every choice, theta
+    empty."""
+    pools = [index.get((h.functor, len(h.args)), ()) for h in heads]
+    if not all(pools):
+        return
     # a frame per filled head: its pool iterator, the positions so far and
     # theta so far
     stack = [(iter(pools[0]), (), {})]
@@ -107,54 +131,30 @@ def enumerate_firings(program, atoms, builtins: Store, tokens, fresh: FreshSuppl
     """All firings of program rules on the given identified atoms.
 
     Enumeration order is deterministic: program order, then assignments over
-    atoms sorted by identifier. Each rule is renamed apart once per call.
+    atoms sorted by identifier. Each rule is renamed apart once per call,
+    from ``fresh``, which must avoid the atoms' variables (by default a
+    ``FreshSupply()`` that does). On a failed store every assignment fires.
     """
     ordered = sorted(atoms, key=lambda a: a.ident)
-    buckets: dict = {}
-    for j, a in enumerate(ordered):
-        buckets.setdefault((a.atom.functor, len(a.atom.args)), []).append(j)
+    index = functor_index(ordered)
     mgu = None if builtins.failed else builtins.mgu()
-    atom_vars: dict = {}
-
-    def vars_at(j):
-        if j not in atom_vars:
-            atom_vars[j] = vars_of(ordered[j].atom)
-        return atom_vars[j]
-
+    fresh = fresh or FreshSupply(avoid=vars_of(ordered))
     out: List[Firing] = []
     for idx, rule in enumerate(program.rules):
-        renamed, renaming = rename_apart(rule, fresh=fresh)
+        renamed, _ = rename_apart(rule, fresh=fresh)
         heads = renamed.kept + renamed.removed
-        pools = [buckets.get((h.functor, len(h.args)), ()) for h in heads]
-        if not all(pools):
-            continue
-        # A goal variable named like a fresh one can share its name with a
-        # head variable. The one-way match reads the two apart, the
-        # entailment check as one, so such a rule, like any rule on a
-        # failed store, takes the check on every assignment.
-        one_way = mgu is not None and all(
-            vars_at(j).isdisjoint(renaming.values()) for pool in pools for j in pool
-        )
-        head_vars = None if one_way else vars_of(heads)
-        for chosen, theta in _assignments(heads, pools, ordered, mgu if one_way else None):
+        for chosen, theta in head_assignments(heads, ordered, index, mgu):
             combo = tuple(ordered[j] for j in chosen)
             token = Token(rule.name, tuple(a.ident for a in combo))
             if token in tokens:
                 continue
-            eqs = tuple(
-                Equation(a.atom.args[i], h.args[i])
-                for a, h in zip(combo, heads)
-                for i in range(len(h.args))
-            )
-            if one_way:
-                # theta's terms share no variable with its keys, so
-                # rename_vars applies it in one simultaneous step
-                if renamed.guard and not entails_exists(
-                    builtins, (), rename_vars(renamed.guard, theta)
-                ):
-                    continue
-            elif not entails_exists(builtins, head_vars, eqs + renamed.guard):
+            # theta's terms share no variable with its keys, so rename_vars
+            # applies it in one simultaneous step
+            if renamed.guard and not entails_exists(
+                builtins, (), rename_vars(renamed.guard, theta)
+            ):
                 continue
             nk = len(renamed.kept)
+            eqs = argument_equations(combo, heads)
             out.append(Firing(idx, renamed, combo[:nk], combo[nk:], eqs, token))
     return out

@@ -148,8 +148,8 @@ def explore(
 ) -> ExploreResult:
     mod = _MODES[semantics]
     program = fit_program(program, semantics)
-    fresh = FreshSupply("_R")
     goal_vars = frozenset(vars_of(tuple(goal)))
+    fresh = FreshSupply("_R", goal_vars)
     finals: List[FinalState] = []
     visited = StateIndex(goal_vars)
     walk = Walk(mod.initial(goal), max_applies, max_states)
@@ -256,8 +256,9 @@ def lockstep_run(
     """
     prog_std = fit_program(program, "standard")
     prog_ann = annotate(prog_std)
-    fresh_s = FreshSupply("_R")
-    fresh_a = FreshSupply("_R")
+    goal_vars = vars_of(tuple(goal))
+    fresh_s = FreshSupply("_R", goal_vars)
+    fresh_a = FreshSupply("_R", goal_vars)
 
     def corresponds(cs, ca) -> bool:
         return configs_correspond(

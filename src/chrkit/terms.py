@@ -250,22 +250,29 @@ def solved_form(sub: Subst) -> Subst:
 
 
 class FreshSupply:
-    """Source of fresh variable names (``_V1``, ``_V2``, ...)."""
+    """Source of fresh variable names (``_V1``, ``_V2``, ...) that skips
+    the name of every variable in ``avoid``, so a name it hands out is
+    never one of those nor one it handed out before."""
 
-    def __init__(self, prefix: str = "_V"):
+    def __init__(self, prefix: str = "_V", avoid=()):
         self.prefix = prefix
+        self._avoid = frozenset(v.name for v in avoid)
         self._counter = itertools.count(1)
 
     def fresh(self) -> Var:
-        return Var(f"{self.prefix}{next(self._counter)}")
+        while True:
+            name = f"{self.prefix}{next(self._counter)}"
+            if name not in self._avoid:
+                return Var(name)
 
 
 def rename_apart(obj, vars_to_rename=None, fresh: Optional[FreshSupply] = None):
     """Rename the object's variables to fresh ones, by default from a new
-    ``FreshSupply()``; returns (renamed, mapping)."""
-    fresh = fresh or FreshSupply()
+    ``FreshSupply()`` that avoids the object's variables; returns
+    (renamed, mapping)."""
+    names = vars_of(obj)
     if vars_to_rename is None:
-        vars_to_rename = vars_of(obj)
+        vars_to_rename = names
+    fresh = fresh or FreshSupply(avoid=names)
     mapping: Subst = {v: fresh.fresh() for v in sorted(vars_to_rename, key=lambda v: v.name)}
     return rename_vars(obj, mapping), mapping
-

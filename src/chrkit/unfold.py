@@ -15,14 +15,14 @@ is never used twice on the same atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import List, Optional
 
 from .constraints import TRUE, conjoin, entails_exists, entailment_witness, satisfiable
 from .equivalence import rules_isomorphic
 from .syntax import IdAtom, Program, Rule, Token, clean_tokens
-from .terms import Equation, FreshSupply, apply_subst, rename_apart, vars_of
+from .terms import FreshSupply, apply_subst, rename_apart, vars_of
 from .semantics.annotated import shift_identifiers
+from .semantics.matching import argument_equations, functor_index, head_assignments
 
 
 @dataclass(frozen=True)
@@ -54,19 +54,18 @@ def _body_split(rule: Rule):
 
 
 def unfold_at(program: Program, target_index: int, source_index: int,
-              idents, fresh: Optional[FreshSupply] = None,
-              track_tokens: bool = True) -> Optional[UnfoldSite]:
+              idents, track_tokens: bool = True) -> Optional[UnfoldSite]:
     """Unfold the target rule with the source rule at the body atoms with
     the given identifiers (source's kept positions first). None if the site
-    does not satisfy the side conditions.
+    does not satisfy the side conditions. The source rule is renamed apart
+    with ``_U`` names that skip the target rule's variables.
 
     track_tokens=False drops all token bookkeeping (no blocking, nothing
     recorded). That produces wrong rules on propagation sources; it exists
     so tests can demonstrate the divergence the bookkeeping prevents.
     """
     r = program.rules[target_index]
-    fresh = fresh or FreshSupply("_U")
-    v, _ = rename_apart(program.rules[source_index], fresh=fresh)
+    v, _ = rename_apart(program.rules[source_index], fresh=FreshSupply("_U", vars_of(r)))
     body_atoms, body_builtins = _body_split(r)
     by_id = {a.ident: a for a in body_atoms}
     heads = v.kept + v.removed
@@ -87,11 +86,7 @@ def unfold_at(program: Program, target_index: int, source_index: int,
     assumed = conjoin(TRUE, r.guard + tuple(body_builtins))
     if assumed.failed:
         return None
-    eqs = tuple(
-        Equation(a.atom.args[i], h.args[i])
-        for a, h in zip(matched, heads)
-        for i in range(len(h.args))
-    )
+    eqs = argument_equations(matched, heads)
     theta = entailment_witness(assumed, vars_of((v.kept, v.removed)), eqs)
     if theta is None:
         return None
@@ -142,15 +137,12 @@ def unfold_sites(program: Program, target_index: int) -> List[UnfoldSite]:
     r = program.rules[target_index]
     body_atoms, _ = _body_split(r)
     ordered = sorted(body_atoms, key=lambda a: a.ident)
+    index = functor_index(ordered)
     out: List[UnfoldSite] = []
     for si, v in enumerate(program.rules):
-        width = len(v.kept) + len(v.removed)
-        if width > len(ordered):
-            continue
-        for combo in permutations(ordered, width):
-            fresh = FreshSupply("_U")
+        for chosen, _ in head_assignments(v.kept + v.removed, ordered, index):
             site = unfold_at(
-                program, target_index, si, tuple(a.ident for a in combo), fresh
+                program, target_index, si, tuple(ordered[j].ident for j in chosen)
             )
             if site is not None:
                 out.append(site)

@@ -320,6 +320,47 @@ def test_two_equal_700_deep_terms_are_compared_without_recursion(
     assert out == answer.format(t=deep) + "\n"
 
 
+# Fresh names skip the names the program and the goal already use: a goal
+# or rule variable named like a fresh one is never captured.
+
+
+@pytest.mark.parametrize("semantics", ["standard", "annotated"])
+def test_a_goal_variable_named_like_a_renamed_rule_variable_stays_apart(
+    tmp_path, capsys, semantics
+):
+    prog = tmp_path / "pair.chr"
+    prog.write_text("r @ p(X, X) <=> q.\n")
+    code, out, err = run_cli(
+        capsys, "run", str(prog), "--semantics", semantics, "--goal", "p(_R1, a)"
+    )
+    assert (code, out, err) == (0, "p(_R1,a)\n", "")
+
+
+def test_answer_locals_skip_goal_variables_named_like_them(tmp_path, capsys):
+    prog = tmp_path / "local.chr"
+    prog.write_text("r @ p(X) <=> q(X, Y).\n")
+    code, out, err = run_cli(capsys, "run", str(prog), "--goal", "p(_L1)")
+    assert (code, out, err) == (0, "q(_L1,_L2)\n", "")
+
+
+def test_an_unfolding_skips_the_target_rules_variable_names(tmp_path, capsys):
+    prog = tmp_path / "u.chr"
+    prog.write_text("r @ p(A) <=> q(A, _U1).\ns @ q(X, Y) <=> t(X, Y).\n")
+    out_path = tmp_path / "u2.chr"
+    cert_path = tmp_path / "u2.cert.jsonl"
+    code, _, err = run_cli(
+        capsys, "transform", str(prog), "--sequence", "r", "--goal", "p(a)",
+        "--out", str(out_path), "--cert", str(cert_path),
+    )
+    assert (code, err) == (0, "")
+    assert out_path.read_text().splitlines()[0] == (
+        "r @ p(A) <=> t(_U2,_U3)#2, A=_U2, _U1=_U3."
+    )
+    _, record = [json.loads(l) for l in cert_path.read_text().splitlines()]
+    assert record["equal"] is True
+    assert record["answers_after"] == record["answers_before"] == ["t(a,_L1)"]
+
+
 def test_library_errors_become_one_line_messages(monkeypatch, capsys):
     def broken(args):
         raise ValueError("first line\nsecond line")

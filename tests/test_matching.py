@@ -155,19 +155,28 @@ def states(draw):
     ),
     "_R",
 )
-# rename_apart turns X into _R1, which is also a goal variable here: the
-# entailment check reads the two as one variable, so the one-way match
-# must not be used on this rule
+# an atom variable named like the first fresh one: the supply skips it
 @example(
     parse_program("r @ p(X, X) <=> q."),
     ((IdAtom(Compound("p", (Var("_R1"), const("a"))), 1),), TRUE, frozenset()),
     "_R",
 )
 def test_enumeration_agrees_with_the_reference(program, state, prefix):
+    # the supply avoids the atoms' variables, as enumerate_firings requires
     atoms, store, tokens = state
-    new = enumerate_firings(program, atoms, store, tokens, FreshSupply(prefix))
-    ref = reference_enumerate_firings(program, atoms, store, tokens, FreshSupply(prefix))
+    new = enumerate_firings(program, atoms, store, tokens, FreshSupply(prefix, vars_of(atoms)))
+    ref = reference_enumerate_firings(
+        program, atoms, store, tokens, FreshSupply(prefix, vars_of(atoms))
+    )
     assert new == ref
+
+
+def test_an_atom_variable_named_like_a_fresh_one_is_not_captured():
+    program = parse_program("r @ p(X, X) <=> q.")
+    atoms = (IdAtom(Compound("p", (Var("_R1"), const("a"))), 1),)
+    for fresh in (FreshSupply("_R", vars_of(atoms)), None):
+        assert enumerate_firings(program, atoms, TRUE, frozenset(), fresh) == []
+    assert qualified_answers(program, (atoms[0].atom,)).texts == ("p(_R1,a)",)
 
 
 # ------------------------------------------------------------- work gates

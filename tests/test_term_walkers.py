@@ -2,6 +2,8 @@
 reader, property-tested against the recursive versions they replace, plus
 a work gate on the solves ``render_answer`` makes."""
 
+import re
+
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import mutated
@@ -370,9 +372,40 @@ def test_vars_of_matches_the_recursive_reference(obj):
     assert set(vars_in_order(obj)) == ref_vars_of(obj)
 
 
+# The references hand out _L<n> without looking at the keep variables, so a
+# keep variable with such a name is captured. There the result is checked
+# against the reference run on a copy whose _L<n> variables are renamed to
+# _K<n> (no _K name occurs in the strategies): the two must differ only by
+# an injective renaming that takes those variables back to their own names
+# and every other variable to a name outside keep.
+
+LOCAL_NAME = re.compile(r"_L\d+")
+
+
+def named_apart(variables) -> Subst:
+    """_L<n> to _K<n> for each of the variables named like a local."""
+    return {v: Var("_K" + v.name[2:]) for v in variables if LOCAL_NAME.fullmatch(v.name)}
+
+
+def assert_renames_onto(want, got, back, keep):
+    """got is want under an injective renaming that agrees with ``back`` and
+    takes every other variable to a name outside ``keep``."""
+    rho = dict(zip(vars_in_order(want), vars_in_order(got)))
+    assert len(set(rho.values())) == len(rho)
+    for w, v in rho.items():
+        assert v == back[w] if w in back else v not in keep
+    assert rename_vars(want, rho) == got
+
+
 @given(st.one_of(objs_st, rules_st), keeps_st)
 def test_canonical_locals_matches_the_recursive_reference(obj, keep):
-    assert canonical_locals(obj, keep) == ref_canonical_locals(obj, keep)
+    got = canonical_locals(obj, keep)
+    apart = named_apart(keep)
+    if not apart:
+        assert got == ref_canonical_locals(obj, keep)
+        return
+    want = ref_canonical_locals(rename_vars(obj, apart), {apart.get(v, v) for v in keep})
+    assert_renames_onto(want, got, {apart.get(v, v): v for v in keep}, keep)
 
 
 @given(st.one_of(terms_st, eqs_st, atoms_st))
@@ -411,12 +444,34 @@ def test_match_term_matches_the_recursive_reference(ta, tb, rho, fixed, related,
 @example(  # a goal variable linked to a local: the local is the one bound
     conjoin(TRUE, [Equation(Var("X"), Var("Z"))]), [Compound("p", (Var("X"),))], {Var("X")}
 )
+# a goal variable named like a local: the answer keeps the two apart
+@example(
+    conjoin(TRUE, [Equation(Var("X"), Compound("f", (Var("Y"),)))]),
+    [Compound("p", (Var("_L1"), Var("Z")))],
+    {Var("X"), Var("_L1")},
+)
 def test_render_answer_matches_the_two_solve_reference(store, atoms, goal_vars):
     final = FinalState(
         tuple(IdAtom(a, i) for i, a in enumerate(atoms, 1)),
         store, frozenset(), store.failed,
     )
-    assert render_answer(final, goal_vars) == ref_render_answer(final, goal_vars)
+    got = render_answer(final, goal_vars)
+    # project keeps the atoms' variables too, so any _L<n> can be captured
+    apart = named_apart(vars_of((atoms, store.equations)) | goal_vars)
+    if not apart:
+        assert got == ref_render_answer(final, goal_vars)
+        return
+    renamed = FinalState(
+        rename_vars(final.atoms, apart),
+        Store(rename_vars(store.equations, apart), store.failed),
+        frozenset(), store.failed,
+    )
+    want = ref_render_answer(renamed, {apart.get(v, v) for v in goal_vars})
+    assert got.failed == want.failed
+    assert_renames_onto(
+        (want.atoms, want.builtins), (got.atoms, got.builtins),
+        {apart.get(v, v): v for v in goal_vars}, goal_vars,
+    )
 
 
 # --------------------------------------------------------------- parsing

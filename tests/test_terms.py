@@ -136,6 +136,25 @@ def test_rename_apart_yields_fresh_disjoint_copy():
     assert renamed[1].rhs == a
 
 
+@given(
+    st.sets(st.sampled_from([f"_T{i}" for i in range(1, 8)] + ["_T", "T1", "X"])),
+    st.integers(0, 12),
+)
+def test_a_fresh_supply_skips_avoided_names_and_never_repeats(avoid, n):
+    fresh = FreshSupply("_T", {Var(name) for name in avoid})
+    names = [fresh.fresh().name for _ in range(n)]
+    assert len(set(names)) == n
+    assert avoid.isdisjoint(names)
+    # it skips only what it must: the first n names not avoided
+    assert names == [name for name in (f"_T{i}" for i in range(1, 21)) if name not in avoid][:n]
+
+
+def test_rename_apart_avoids_the_objects_own_names_by_default():
+    renamed, mapping = rename_apart(f(Var("_V1"), X))
+    assert mapping == {X: Var("_V2"), Var("_V1"): Var("_V3")}
+    assert renamed == f(Var("_V3"), Var("_V2"))
+
+
 def test_rename_apart_respects_explicit_var_set():
     renamed, mapping = rename_apart(f(X, Y), vars_to_rename={X})
     assert Y in vars_of(renamed)

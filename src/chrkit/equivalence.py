@@ -11,12 +11,19 @@ Two gradations are used throughout the toolkit:
   the two-store semantics (goal kept separate) and one of the fused-store
   semantics, used by the lockstep runner.
 
-``states_equivalent_mod`` is a decision procedure by backtracking over
-atom matchings and bijections of the leftover store variables. Callers keep
-it off most pairs through ``state_fingerprint``, a key that no renaming the
-check allows can change (the symmetry reduction of explicit-state model
-checking): states with different keys are never equivalent, and the
-per-variable profiles behind the key prune the bijection search.
+Both ``states_equivalent_mod`` and ``rules_isomorphic`` are decided by
+one backtracking search over an explicit stack (``_search``): each item
+of one side maps to an unused candidate of the other under one injective
+renaming, and a token is checked as soon as its identifiers are mapped.
+A state's built-in store enters the search as facts, one ``v = value``
+per constrained variable, read off its idempotent mgu with each free
+class replaced by one class variable: two satisfiable stores over finite
+trees are equivalent under a renaming iff their facts correspond. Callers
+keep the search off most pairs of states through ``state_fingerprint``, a
+key that no renaming the check allows can change (the symmetry reduction
+of explicit-state model checking); the per-variable profiles behind the
+key and the identifiers' token roles prune the candidates, as in
+individualization and refinement (McKay & Piperno, JSC 2014).
 """
 
 from __future__ import annotations
@@ -33,19 +40,19 @@ def _match_term(ta, tb, rho: Dict, fixed, pa=None, pb=None) -> Optional[Dict]:
     """Extend the injective variable map rho so that ta renamed equals tb.
 
     With profile maps pa and pb, a variable is only mapped to one with the
-    same profile. rho itself is never changed."""
+    same profile, or none. rho itself is never changed."""
     out = dict(rho)
     stack = [(ta, tb)]
     while stack:
         ta, tb = stack.pop()
         if isinstance(ta, Var) and isinstance(tb, Var):
-            if ta in fixed or tb in fixed:
-                if ta != tb:
-                    return None
-            elif ta in out:
+            if ta in out:
                 if out[ta] != tb:
                     return None
-            elif tb in out.values() or (pa is not None and pa[ta] != pb[tb]):
+            elif ta in fixed or tb in fixed:
+                if ta != tb:
+                    return None
+            elif tb in out.values() or (pa is not None and pa.get(ta) != pb.get(tb)):
                 return None
             else:
                 out[ta] = tb
@@ -58,78 +65,133 @@ def _match_term(ta, tb, rho: Dict, fixed, pa=None, pb=None) -> Optional[Dict]:
     return out
 
 
-def _match_atom_sets(todo, avail, fixed, rho, idmap, pa=None, pb=None):
-    """Yield (rho, idmap) pairs matching the IdAtom multiset todo onto avail."""
-    if not todo:
-        yield rho, idmap
-        return
-    first = todo[0]
-    for j, cand in enumerate(avail):
-        r2 = _match_term(first.atom, cand.atom, rho, fixed, pa, pb)
-        if r2 is None:
-            continue
-        im = dict(idmap)
-        im[first.ident] = cand.ident
-        yield from _match_atom_sets(
-            todo[1:], avail[:j] + avail[j + 1:], fixed, r2, im, pa, pb
-        )
+class _ClassVar(Var):
+    """Stands for a free class of a store; equal to no named variable."""
 
 
-def _tokens_correspond(tok_a, tok_b, idmap) -> bool:
-    mapped = set()
-    for t in tok_a:
-        if not all(i in idmap for i in t.idents):
-            return False
-        mapped.add(Token(t.rule_name, tuple(idmap[i] for i in t.idents)))
-    return mapped == set(tok_b)
+def _token_roles(tokens) -> Dict:
+    """Each identifier's sorted ``(rule name, position)`` pairs over the tokens."""
+    roles: Dict = {}
+    for t in tokens:
+        for pos, i in enumerate(t.idents):
+            roles.setdefault(i, []).append((t.rule_name, pos))
+    return {i: tuple(sorted(r)) for i, r in roles.items()}
 
 
-def _stores_equivalent_mod(sa: Store, sb: Store, rho, fixed, pa, pb) -> bool:
-    """Can rho be extended over the leftover variables so the stores are
-    equivalent theories? Only variables with equal profiles are paired."""
-    if sa.failed or sb.failed:
-        return sa.failed and sb.failed
-    la = sorted(sa.constrained_vars() - set(rho) - fixed, key=lambda v: v.name)
-    lb = sb.constrained_vars() - set(rho.values()) - fixed
-    if len(la) != len(lb):
+def _item(part, term, ident, roles):
+    """A search item keyed by part, shape and roles; one with roles never commits."""
+    r = roles.get(ident, ())
+    return (part, term.functor, len(term.args), r), term, ident, None if r else 0
+
+
+def _search(items, cands, tokens_a, tokens_b, fixed=frozenset(), pa=None, pb=None) -> bool:
+    """Is there one injective renaming of the variables, the identity on
+    ``fixed``, and one injective map of the identifiers under which each
+    item ``(key, term, ident, slack)`` equals a distinct candidate with
+    its key, and ``tokens_a`` becomes ``tokens_b``?
+
+    Depth first over an explicit stack, the items are mapped fewest
+    candidates first, each followed by the store facts (items identified
+    by a variable) on its variables; facts on fixed variables come first
+    and the others last. A fact on a mapped or fixed variable has one
+    candidate, the fact on the image. A token is checked as soon as its
+    last identifier is mapped. An item commits to its first matching
+    candidate when the match maps at most ``slack`` new variables, which
+    occur in no other item: every candidate it could match interchanges
+    with that one.
+    """
+    pools, by_ident = {}, {}
+    for c in cands:
+        pools.setdefault(c[0], []).append(c)
+        by_ident[c[2]] = c
+    if len(tokens_a) != len(tokens_b) or len(items) != len(by_ident):
         return False
-    sig_a = sa.solved()
-    sig_b = sb.solved()
+    facts = {it[2]: it for it in items if isinstance(it[2], Var)}
+    order = [facts.pop(v) for v in list(facts) if v in fixed]
+    for it in sorted(items, key=lambda it: len(pools.get(it[0], ()))):
+        if not isinstance(it[2], Var):
+            order += [it] + [facts.pop(v) for v in vars_of(it[1]) if v in facts]
+    items = order + list(facts.values())
+    pos = {it[2]: k for k, it in enumerate(items) if not isinstance(it[2], Var)}
+    due: Dict[int, list] = {}
+    for t in tokens_a:
+        due.setdefault(max((pos[i] for i in t.idents), default=0), []).append(t)
+    if not items:
+        return tokens_a == tokens_b
 
-    def leaf(full_rho):
-        renamed = tuple(rename_vars(e, full_rho) for e in sa.equations)
-        return stores_equivalent(Store(renamed), sb)
+    def choices(k, rho):
+        key, _, ident, _ = items[k]
+        if isinstance(ident, Var) and (ident in fixed or ident in rho):
+            hit = by_ident.get(rho.get(ident, ident))
+            return iter((hit,) if hit else ())
+        return iter(pools.get(key, ()))
 
-    def rec(i, rho, avail):
-        if i == len(la):
-            return leaf(rho)
-        v = la[i]
-        bound = sig_a.get(v)
-        for w in sorted(avail, key=lambda x: x.name):
-            if pa[v] != pb[w]:
+    idmap, used = {}, set()
+    # a frame per item being mapped: its index, the renaming before it and
+    # its untried candidates; the candidate it holds is in idmap and used
+    stack = [(0, {}, choices(0, {}))]
+    while stack:
+        k, rho, rest = stack[-1]
+        _, term, ident, slack = items[k]
+        if ident in idmap:
+            used.discard(idmap.pop(ident))
+        for _, term_b, ident_b, _ in rest:
+            if ident_b in used:
                 continue
-            if bound is not None and not vars_of(bound):
-                if sig_b.get(w) != bound:
-                    continue
-            r2 = dict(rho)
-            r2[v] = w
-            if rec(i + 1, r2, avail - {w}):
+            r2 = _match_term(term, term_b, rho, fixed, pa, pb)
+            if r2 is None:
+                continue
+            idmap[ident] = ident_b
+            if any(
+                Token(t.rule_name, tuple(idmap[i] for i in t.idents)) not in tokens_b
+                for t in due.get(k, ())
+            ):
+                del idmap[ident]
+                continue
+            if k + 1 == len(items):
                 return True
-        return False
+            used.add(ident_b)
+            if slack is not None and len(r2) <= len(rho) + slack:
+                stack[-1] = (k, rho, iter(()))
+            stack.append((k + 1, r2, choices(k + 1, r2)))
+            break
+        else:
+            stack.pop()
+    return False
 
-    return rec(0, dict(rho), lb)
 
-
-def _shape_key(a: IdAtom):
-    return (a.atom.functor, len(a.atom.args))
+def _state_items(atoms, store: Store, tokens, profiles, fixed):
+    """A non-failed state's search items, cleaned tokens and profiles
+    (computed when None). The items are the atoms and one fact
+    ``v = value`` per variable of ``store.constrained_vars()``: the value
+    is v's binding in ``solved()`` with each free class replaced by one
+    class variable, so it depends on no equation order, orientation or
+    batching. A fact has a slack of 1, its variable: the search reaches
+    the facts on fixed and atom variables once these are mapped, and
+    takes their one candidate by identifier, so only the other facts are
+    keyed, by their labels.
+    """
+    tokens = clean_tokens(tokens, atoms)
+    if profiles is None:
+        profiles = var_profiles(atoms, store, fixed)
+    roles = _token_roles(tokens)
+    items = [_item("atom", a.atom, a.ident, roles) for a in atoms]
+    sigma = store.solved()
+    cls = {v: _ClassVar(v.name) for v in store.constrained_vars() if v not in sigma}
+    reached = fixed | vars_of([a.atom for a in atoms])
+    for v in sorted(store.constrained_vars(), key=lambda v: v.name):
+        t = sigma.get(v, v)
+        fact = Compound("=", (v, cls[t] if isinstance(t, Var) else rename_vars(t, cls)))
+        items.append((None if v in reached else _label(fact, profiles), fact, v, 1))
+    return items, tokens, profiles
 
 
 def shape_key(atoms, store: Store):
-    """The multiset of atom shapes that ``states_equivalent_mod`` compares
-    first, as a hashable key; None for every failed state."""
+    """The multiset of atom shapes, which equivalent states share, as a
+    hashable key; None for every failed state."""
     if store.failed:
         return None
-    return tuple(sorted(map(_shape_key, atoms)))
+    return tuple(sorted((a.atom.functor, len(a.atom.args)) for a in atoms))
 
 
 def var_profiles(atoms, store: Store, fixed) -> Dict[Var, tuple]:
@@ -167,13 +229,14 @@ def var_profiles(atoms, store: Store, fixed) -> Dict[Var, tuple]:
 
 
 def _label(term, profiles) -> tuple:
-    """The term in preorder, each variable replaced by its profile."""
+    """The term in preorder, each variable replaced by its profile (None
+    for a class variable)."""
     out = []
     stack = [term]
     while stack:
         t = stack.pop()
         if isinstance(t, Var):
-            out.append(profiles[t])
+            out.append(profiles.get(t))
         else:
             out.append((t.functor, len(t.args)))
             stack.extend(reversed(t.args))
@@ -189,20 +252,20 @@ def state_fingerprint(atoms, store: Store, tokens, fixed):
     ``states_equivalent_mod`` identifies, and the state's ``var_profiles``.
 
     The key combines three multisets: the atoms with every variable
-    replaced by its profile, the profiles themselves, and the cleaned
-    tokens over those atom labels. All failed states share one key.
+    replaced by its profile, each paired with its token roles; the
+    profiles themselves; and the cleaned tokens over those atom labels.
+    All failed states share one key.
     """
     if store.failed:
         return None, {}
     profiles = var_profiles(atoms, store, fixed)
+    tokens = clean_tokens(tokens, atoms)
+    roles = _token_roles(tokens)
     labels = {a.ident: _label(a.atom, profiles) for a in atoms}
     key = (
-        _multiset(labels.values()),
+        _multiset((labels[a.ident], roles.get(a.ident, ())) for a in atoms),
         _multiset(profiles.values()),
-        _multiset(
-            (t.rule_name, tuple(labels[i] for i in t.idents))
-            for t in clean_tokens(tokens, atoms)
-        ),
+        _multiset((t.rule_name, tuple(labels[i] for i in t.idents)) for t in tokens),
     )
     return key, profiles
 
@@ -219,31 +282,10 @@ def states_equivalent_mod(
     prune the search and never change its answer."""
     if builtins_a.failed or builtins_b.failed:
         return builtins_a.failed and builtins_b.failed
-    if len(chr_a) != len(chr_b):
-        return False
-    if shape_key(chr_a, builtins_a) != shape_key(chr_b, builtins_b):
-        return False
     fixed = frozenset(fixed_vars)
-    ta = clean_tokens(tokens_a, chr_a)
-    tb = clean_tokens(tokens_b, chr_b)
-    if len(ta) != len(tb):
-        return False
-    if profiles_a is None:
-        profiles_a = var_profiles(chr_a, builtins_a, fixed)
-    if profiles_b is None:
-        profiles_b = var_profiles(chr_b, builtins_b, fixed)
-    todo = sorted(chr_a, key=lambda a: (_shape_key(a), a.ident))
-    avail = sorted(chr_b, key=lambda a: (_shape_key(a), a.ident))
-    for rho, idmap in _match_atom_sets(
-        todo, avail, fixed, {}, {}, profiles_a, profiles_b
-    ):
-        if not _tokens_correspond(ta, tb, idmap):
-            continue
-        if _stores_equivalent_mod(
-            builtins_a, builtins_b, rho, fixed, profiles_a, profiles_b
-        ):
-            return True
-    return False
+    items, ta, pa = _state_items(chr_a, builtins_a, tokens_a, profiles_a, fixed)
+    cands, tb, pb = _state_items(chr_b, builtins_b, tokens_b, profiles_b, fixed)
+    return _search(items, cands, ta, tb, fixed, pa, pb)
 
 
 def _multiset_equal(xs, ys) -> bool:
@@ -303,73 +345,30 @@ def configs_correspond(
     return introduced == {a.ident: a.atom for a in std_store} and std_tokens == fused_tokens
 
 
+def _rule_items(rule, flipped: bool) -> list:
+    """A rule's search items: heads, guard and body equations (with
+    ``flipped``, each also in the other orientation under the same
+    identifier) and body atoms, identified ones with their token roles."""
+    roles = _token_roles(rule.tokens)
+    parts = [("kept", h) for h in rule.kept] + [("removed", h) for h in rule.removed]
+    parts += [("guard", g) for g in rule.guard] + [("body", b) for b in rule.body]
+    items = []
+    for j, (part, x) in enumerate(parts):
+        if isinstance(x, Equation):
+            sides = ((x.lhs, x.rhs), (x.rhs, x.lhs))[: 1 + flipped]
+            items += [_item(part, Compound("=", lr), (j,), roles) for lr in sides]
+        elif isinstance(x, IdAtom):
+            items.append(_item(part, x.atom, x.ident, roles))
+        elif isinstance(x, Compound):
+            items.append(_item(part, x, (j,), roles))
+    return items
+
+
 def rules_isomorphic(ra, rb) -> bool:
     """Same rule modulo variable renaming and identifier renaming; head,
-    guard and body parts are compared as multisets."""
-    if ra.name != rb.name:
+    guard and body parts are compared as multisets, and equations in
+    either orientation."""
+    falses = [sum(isinstance(b, FalseConstraint) for b in r.body) for r in (ra, rb)]
+    if ra.name != rb.name or falses[0] != falses[1]:
         return False
-    if (
-        len(ra.kept) != len(rb.kept)
-        or len(ra.removed) != len(rb.removed)
-        or len(ra.guard) != len(rb.guard)
-        or len(ra.body) != len(rb.body)
-        or len(ra.tokens) != len(rb.tokens)
-    ):
-        return False
-
-    def eq_pairs(e):
-        return (e.lhs, e.rhs)
-
-    def match_lists(pairs_a, pairs_b, rho, unordered_eq=False):
-        """pairs are lists of terms or of 2-tuples; multiset matching."""
-        if not pairs_a:
-            yield rho
-            return
-        first = pairs_a[0]
-        for j, cand in enumerate(pairs_b):
-            orientations = [cand]
-            if unordered_eq and isinstance(cand, tuple):
-                orientations.append((cand[1], cand[0]))
-            for o in orientations:
-                if isinstance(first, tuple):
-                    r2 = _match_term(first[0], o[0], rho, frozenset())
-                    if r2 is not None:
-                        r2 = _match_term(first[1], o[1], r2, frozenset())
-                else:
-                    r2 = _match_term(first, o, rho, frozenset())
-                if r2 is None:
-                    continue
-                yield from match_lists(
-                    pairs_a[1:], pairs_b[:j] + pairs_b[j + 1:], r2, unordered_eq
-                )
-
-    body_atoms_a = [b for b in ra.body if isinstance(b, IdAtom)]
-    body_atoms_b = [b for b in rb.body if isinstance(b, IdAtom)]
-    body_bi_a = [eq_pairs(b) for b in ra.body if isinstance(b, Equation)]
-    body_bi_b = [eq_pairs(b) for b in rb.body if isinstance(b, Equation)]
-    false_a = sum(1 for b in ra.body if isinstance(b, FalseConstraint))
-    false_b = sum(1 for b in rb.body if isinstance(b, FalseConstraint))
-    if (
-        len(body_atoms_a) != len(body_atoms_b)
-        or len(body_bi_a) != len(body_bi_b)
-        or false_a != false_b
-    ):
-        return False
-
-    for rho1 in match_lists(list(ra.kept), list(rb.kept), {}):
-        for rho2 in match_lists(list(ra.removed), list(rb.removed), rho1):
-            for rho3 in match_lists(
-                [eq_pairs(g) for g in ra.guard],
-                [eq_pairs(g) for g in rb.guard],
-                rho2,
-                unordered_eq=True,
-            ):
-                for rho4 in match_lists(
-                    body_bi_a, body_bi_b, rho3, unordered_eq=True
-                ):
-                    for rho5, idmap in _match_atom_sets(
-                        body_atoms_a, body_atoms_b, frozenset(), rho4, {}
-                    ):
-                        if _tokens_correspond(ra.tokens, rb.tokens, idmap):
-                            return True
-    return False
+    return _search(_rule_items(ra, False), _rule_items(rb, True), ra.tokens, rb.tokens)

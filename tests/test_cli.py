@@ -320,6 +320,36 @@ def test_two_equal_700_deep_terms_are_compared_without_recursion(
     assert out == answer.format(t=deep) + "\n"
 
 
+@pytest.mark.parametrize("semantics", ["standard", "annotated"])
+def test_states_with_equal_700_deep_bindings_are_compared_without_recursion(
+    tmp_path, capsys, semantics
+):
+    # both firings leave q, q and a 700-deep binding of a rule variable
+    # that no atom holds; deduplicating the two states reads the bindings
+    prog = tmp_path / "drop.chr"
+    prog.write_text("r @ p(X) <=> q.\n")
+    deep = _nested("s(", 700, "z")
+    code, out, err = run_cli(
+        capsys, "run", str(prog), "--semantics", semantics,
+        "--goal", f"p({deep}), p({deep})",
+    )
+    assert (code, out, err) == (0, "q, q\n", "")
+
+
+@pytest.mark.parametrize("semantics", ["standard", "annotated"])
+def test_states_of_1200_equal_atoms_are_compared_without_recursion(
+    tmp_path, capsys, semantics
+):
+    prog = tmp_path / "drop.chr"
+    prog.write_text("r @ p(X) <=> q.\n")
+    code, _, err = run_cli(
+        capsys, "run", str(prog), "--semantics", semantics,
+        "--goal", ", ".join(["p(a)"] * 1200), "--max-depth", "1", "--max-states", "3",
+    )
+    assert code == 3
+    assert "truncated" in err
+
+
 # Fresh names skip the names the program and the goal already use: a goal
 # or rule variable named like a fresh one is never captured.
 

@@ -113,6 +113,28 @@ def test_mod_handles_shared_variable_names():
     assert states_equivalent_mod(sa, TRUE, frozenset(), sa, TRUE, frozenset(), ())
 
 
+def test_mod_checks_which_atoms_each_token_pairs():
+    # every atom has the same token roles in both states
+    sa = (atom("p(a)", 1), atom("q(a)", 2), atom("p(b)", 3), atom("q(b)", 4))
+    ta = frozenset({Token("r", (1, 2)), Token("r", (3, 4))})
+    crossed = frozenset({Token("r", (1, 4)), Token("r", (3, 2))})
+    assert not states_equivalent_mod(sa, TRUE, ta, sa, TRUE, crossed, ())
+    # with p(a) twice, crossing the tokens only trades the two p(a) atoms,
+    # so the first p(a) tried must not be kept for good
+    sb = (atom("p(a)", 1), atom("q(a)", 2), atom("p(a)", 3), atom("q(b)", 4))
+    assert states_equivalent_mod(sb, TRUE, ta, sb, TRUE, crossed, ())
+
+
+def test_mod_maps_bindings_of_atom_variables_with_their_atoms():
+    # X = a and Y = a look alike, but only X's counterpart is W, as the
+    # atoms tell; the leftover pair Q, R takes any candidate
+    sa = (atom("r(X, X)", 1), atom("r(Y, Z)", 2), atom("r(Q, Q)", 3))
+    sb = (atom("r(W, W)", 1), atom("r(V, U)", 2), atom("r(R, R)", 3))
+    assert states_equivalent_mod(
+        sa, B("X=a", "Y=a"), frozenset(), sb, B("V=a", "W=a"), frozenset(), ()
+    )
+
+
 def test_mod_distinguishes_dead_local_bindings():
     # projection onto the visible variables would call these equal; the
     # full-store comparison must not

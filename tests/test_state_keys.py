@@ -4,7 +4,8 @@ gates on the searches that use them."""
 
 from typing import Dict, Optional
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chrkit import equivalence
 from chrkit.constraints import TRUE, Store, conjoin, stores_equivalent
@@ -296,6 +297,25 @@ def test_pruned_check_agrees_with_the_reference(data, state, fixed):
             ) == want
 
 
+def eq_state(*eqs):
+    """A state with no atoms and no tokens over the given equations."""
+    return (), list(eqs), conjoin(TRUE, eqs), frozenset()
+
+
+X, Y, Z, U, V = VARS
+# one store component that no atom and no fixed variable reaches: its
+# variables can only be matched through the bindings themselves
+COMPONENT = eq_state(Equation(X, f(Y)), Equation(Z, Compound("g", (Y,))))
+
+
+@settings(deadline=None, max_examples=200)
+@given(states(), states(), fixed_st)
+@example(COMPONENT, eq_state(Equation(Compound("g", (V,)), U), Equation(Y, f(V))), frozenset())
+@example(COMPONENT, eq_state(Equation(X, f(Y)), Equation(Z, Compound("g", (U,)))), frozenset())
+def test_exact_check_agrees_with_the_reference_on_any_two_states(sa, sb, fixed):
+    assert exact(sa, sb, fixed) == reference(sa, sb, fixed)
+
+
 def test_fingerprint_sees_dead_local_bindings():
     # as in test_mod_distinguishes_dead_local_bindings: binding a variable
     # that no atom mentions still tells the states apart
@@ -360,3 +380,78 @@ def test_linear_branch_states_never_meet_the_exact_check(monkeypatch):
     res = explore(p, parse_goal("p(N)"), max_applies=150)
     assert res.expanded == 151
     assert calls["states"] == 0
+
+
+def _count_matches(monkeypatch):
+    """Count the term matches of the exact checks the search makes, and
+    record for each check whether it hit, its matches and the size of the
+    state (atoms plus constrained variables)."""
+    matches, checks = [0], []
+    match = equivalence._match_term
+    exact_check = search.states_equivalent_mod
+
+    def counted_match(*args):
+        matches[0] += 1
+        return match(*args)
+
+    def counted_exact(*args, **kwargs):
+        before = matches[0]
+        hit = exact_check(*args, **kwargs)
+        size = len(args[0]) + len(args[1].constrained_vars())
+        checks.append((hit, matches[0] - before, size))
+        return hit
+
+    monkeypatch.setattr(equivalence, "_match_term", counted_match)
+    monkeypatch.setattr(search, "states_equivalent_mod", counted_exact)
+    return matches, checks
+
+
+@pytest.mark.parametrize("depth", [20, 40, 80])
+def test_a_dedup_hit_costs_term_matches_linear_in_the_state(monkeypatch, depth):
+    # firing a before or after some r leaves the same state twice, so
+    # every exact check is a hit; all links of the chain N = s(Y1),
+    # Y1 = s(Y2), ... but the last reach no atom, and each must find its
+    # counterpart without a search over the others
+    matches, checks = _count_matches(monkeypatch)
+    p = parse_program("r @ p(X) <=> X = s(Y), p(Y). a @ q <=> t.")
+    explore(p, parse_goal("p(N), q"), max_applies=depth)
+    assert len(checks) == depth - 1
+    assert all(hit and n < 3 * size for hit, n, size in checks)
+
+
+@pytest.mark.parametrize("rules, goal, semantics", [
+    # many equal s atoms told apart only by the tokens over them: an atom
+    # draws candidates with its own token roles, and each token is checked
+    # as soon as its atoms are matched
+    (
+        "r0 @ t(X), t(f(X)) ==> f(b) = X | Z = Z, s. "
+        "r1 @ s, s ==> q(X,Z), s. r2 @ t(f(b)) <=> true.",
+        "s, s, t(A)", "standard",
+    ),
+    # states whose tokens name p(C) in one and an equal-looking p(_R2)
+    # in the other: the one atom with those roles has one candidate, so
+    # it is matched first and the check fails at once
+    (
+        "r0 @ p(X), p(X), s ==> p(f(W)), s, p(X). "
+        "r1 @ p(b) ==> s, Z = g(f(V), g(Y, Y)), p(g(Z, a)). r2 @ s, s <=> true. "
+        "r3 @ p(Y), p(f(b)) <=> p(Y), s, g(W, Z) = g(b, Y).",
+        "p(C), p(C), s, s, p(C), p(C), s", "annotated",
+    ),
+    # each firing adds q(g(W, g(V, Y)), Z), q(W, b) and W = a: the two
+    # atoms share only W, so a pairing is told apart by the bindings of
+    # the atoms' variables, which are checked right after each atom
+    (
+        "r0 @ q(Z, Y) ==> W = a, q(g(W, g(V, Y)), Z), q(W, b).",
+        "q(C, C), u(g(b, g(C, a)), C), A = C, u(a, C), q(b, g(B, A)), q(b, g(B, A))",
+        "annotated",
+    ),
+])
+def test_repeated_atoms_with_tokens_are_matched_by_token_roles(
+    monkeypatch, rules, goal, semantics
+):
+    matches, _ = _count_matches(monkeypatch)
+    res = explore(
+        parse_program(rules), parse_goal(goal), semantics, max_applies=5, max_states=200
+    )
+    assert res.expanded == 201
+    assert matches[0] <= 100_000

@@ -33,7 +33,7 @@ from typing import Dict, Optional
 
 from .constraints import Store, stores_equivalent
 from .terms import Compound, Equation, FalseConstraint, Var, rename_vars, vars_of, walk
-from .syntax import IdAtom, Token, clean_tokens
+from .syntax import IdAtom, Token, clean_tokens, print_item
 
 
 def _match_term(ta, tb, rho: Dict, fixed, pa=None, pb=None) -> Optional[Dict]:
@@ -289,22 +289,12 @@ def states_equivalent_mod(
 
 
 def _multiset_equal(xs, ys) -> bool:
-    return sorted(xs, key=repr) == sorted(ys, key=repr)
+    return sorted(map(print_item, xs)) == sorted(map(print_item, ys))
 
 
-def configs_correspond(
-    goal,
-    std_store,
-    std_builtins,
-    std_tokens,
-    std_counter,
-    fused_store,
-    fused_builtins,
-    fused_tokens,
-    fused_counter,
-) -> bool:
-    """Does a two-store state and a fused-store state describe the same
-    computation point?
+def configs_correspond(std, fused) -> bool:
+    """Does a two-store configuration and a fused-store configuration
+    describe the same computation point?
 
     The fused store must contain, for each not-yet-introduced user constraint
     of the goal (left to right), the same atom pre-stamped with the exact
@@ -316,25 +306,25 @@ def configs_correspond(
     built-in stores must agree, and the counters coincide once the pending
     introductions are accounted for.
     """
-    goal_atoms = [g for g in goal if isinstance(g, Compound)]
-    goal_builtins = [g for g in goal if isinstance(g, (Equation, FalseConstraint))]
-    fused_atoms = [x for x in fused_store if isinstance(x, IdAtom)]
-    fused_pending = [x for x in fused_store if not isinstance(x, IdAtom)]
+    goal_atoms = [g for g in std.goal if isinstance(g, Compound)]
+    goal_builtins = [g for g in std.goal if isinstance(g, (Equation, FalseConstraint))]
+    fused_atoms = [x for x in fused.store if isinstance(x, IdAtom)]
+    fused_pending = [x for x in fused.store if not isinstance(x, IdAtom)]
     # tokens whose atoms are gone can never fire and carry no information
-    std_tokens = clean_tokens(std_tokens, std_store)
-    fused_tokens = clean_tokens(fused_tokens, fused_atoms)
-    if std_counter + len(goal_atoms) != fused_counter + 1:
+    std_tokens = clean_tokens(std.tokens, std.store)
+    fused_tokens = clean_tokens(fused.tokens, fused_atoms)
+    if std.counter + len(goal_atoms) != fused.counter + 1:
         return False
     if not _multiset_equal(goal_builtins, fused_pending):
         return False
-    if not stores_equivalent(std_builtins, fused_builtins):
+    if not stores_equivalent(std.builtins, fused.builtins):
         return False
-    if len(fused_atoms) != len(goal_atoms) + len(std_store):
+    if len(fused_atoms) != len(goal_atoms) + len(std.store):
         return False
     by_id = {a.ident: a for a in fused_atoms}
     k1_ids = set()
     for j, atom in enumerate(goal_atoms):
-        ia = by_id.get(std_counter + j)
+        ia = by_id.get(std.counter + j)
         if ia is None or ia.atom != atom:
             return False
         k1_ids.add(ia.ident)
@@ -342,7 +332,7 @@ def configs_correspond(
     if k1_ids & token_ids:
         return False
     introduced = {a.ident: a.atom for a in fused_atoms if a.ident not in k1_ids}
-    return introduced == {a.ident: a.atom for a in std_store} and std_tokens == fused_tokens
+    return introduced == {a.ident: a.atom for a in std.store} and std_tokens == fused_tokens
 
 
 def _rule_items(rule, flipped: bool) -> list:

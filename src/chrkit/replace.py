@@ -30,7 +30,7 @@ from .constraints import equations_satisfiable, guards_equivalent
 from .syntax import IdAtom, Program, Rule, Token
 from .semantics.matching import argument_equations, functor_index, head_assignments
 from .terms import FreshSupply, rename_apart, vars_of
-from .unfold import unfold_all, unfold_sites
+from .unfold import distinct_rules, unfold_all, unfold_sites
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,15 @@ class Hazard:
     detail: str
 
 
-def deletion_hazards(program: Program, target_index: int) -> List[Hazard]:
+def deletion_hazards(program: Program, target_index: int, sites) -> List[Hazard]:
     """Rules whose run-time firings on the target's body atoms are not
-    covered by any unfold site."""
+    covered by any of the given unfold sites of the target.
+
+    For each source rule, the whole head is tried first, then every proper
+    subset of head positions by size: a match of the whole head that no
+    token spends and no site covers is unify-only, a match of a proper
+    subset is partial-head (the other positions take atoms from outside).
+    """
     if not program.annotated:
         raise ValueError("hazard analysis works on annotated programs")
     r = program.rules[target_index]
@@ -53,7 +59,7 @@ def deletion_hazards(program: Program, target_index: int) -> List[Hazard]:
         (b for b in r.body if isinstance(b, IdAtom)), key=lambda a: a.ident
     )
     index = functor_index(body_atoms)
-    covered = {(s.source_index, s.idents) for s in unfold_sites(program, target_index)}
+    covered = {(s.source_index, s.idents) for s in sites}
     target_vars = vars_of(r)
     out: List[Hazard] = []
     for si, source in enumerate(program.rules):
@@ -61,57 +67,36 @@ def deletion_hazards(program: Program, target_index: int) -> List[Hazard]:
         heads = v.kept + v.removed
         frozen = vars_of((v.guard, v.body)) - vars_of((v.kept, v.removed))
         width = len(heads)
-
-        # run-time match on the whole head that no unfold site covers
-        for chosen, _ in head_assignments(heads, body_atoms, index):
-            combo = tuple(body_atoms[j] for j in chosen)
-            ids = tuple(a.ident for a in combo)
-            if Token(source.name, ids) in r.tokens:
-                continue
-            if (si, ids) in covered:
-                continue
-            eqs = argument_equations(combo, heads)
-            if equations_satisfiable(r.guard + eqs + v.guard, frozen):
-                out.append(
-                    Hazard(
-                        "unify-only",
-                        si,
-                        source.name,
-                        ids,
-                        tuple(range(width)),
-                        f"{source.name} could fire on body atoms {ids} of "
-                        f"{r.name} given a stronger store, but no unfold "
-                        "site covers that firing",
-                    )
-                )
-
-        # mixed firings: some head positions from the body, some from outside
-        if width < 2:
-            continue
-        position_sets = [
+        subsets = [tuple(range(width))] + [
             subset
             for size in range(1, width)
             for subset in combinations(range(width), size)
         ]
-        for subset in position_sets:
+        for subset in subsets:
+            whole = len(subset) == width
             part = [heads[p] for p in subset]
             for chosen, _ in head_assignments(part, body_atoms, index):
                 combo = tuple(body_atoms[j] for j in chosen)
+                ids = tuple(a.ident for a in combo)
+                if whole and (Token(source.name, ids) in r.tokens or (si, ids) in covered):
+                    continue
                 eqs = argument_equations(combo, part)
-                if equations_satisfiable(r.guard + eqs + v.guard, frozen):
-                    ids = tuple(a.ident for a in combo)
-                    out.append(
-                        Hazard(
-                            "partial-head",
-                            si,
-                            source.name,
-                            ids,
-                            tuple(subset),
-                            f"{source.name} could consume body atoms "
-                            f"{ids} of {r.name} "
-                            "together with atoms from outside the rule",
-                        )
+                if not equations_satisfiable(r.guard + eqs + v.guard, frozen):
+                    continue
+                if whole:
+                    kind = "unify-only"
+                    detail = (
+                        f"{source.name} could fire on body atoms {ids} of "
+                        f"{r.name} given a stronger store, but no unfold "
+                        "site covers that firing"
                     )
+                else:
+                    kind = "partial-head"
+                    detail = (
+                        f"{source.name} could consume body atoms {ids} of "
+                        f"{r.name} together with atoms from outside the rule"
+                    )
+                out.append(Hazard(kind, si, source.name, ids, subset, detail))
     return out
 
 
@@ -122,39 +107,36 @@ class ReplacementVerdict:
     hazards: List[Hazard]
     guard_mismatches: List[Rule]
     reasons: List[str]
+    unfolded: List[Rule]  # the distinct unfolded rules judged; replace_rule installs them
 
 
 def check_replacement(program: Program, target_index: int, mode: str = "safe") -> ReplacementVerdict:
     """Decide whether the target rule may be replaced by its unfolded
     versions under the strict or the weak criterion."""
+    if mode not in ("safe", "weak"):
+        raise ValueError(f"unknown mode {mode!r}")
     r = program.rules[target_index]
-    sites = [(s.source_index, s.idents) for s in unfold_sites(program, target_index)]
-    unfolded = unfold_all(program, target_index)
+    found = unfold_sites(program, target_index)
+    sites = [(s.source_index, s.idents) for s in found]
+    unfolded = distinct_rules(found)
     reasons: List[str] = []
-    if mode == "safe":
-        hazards = deletion_hazards(program, target_index)
-        mismatches = [
-            u for u in unfolded if not guards_equivalent(r.guard, u.guard)
-        ]
-        if hazards:
-            reasons.append(f"{len(hazards)} hazard(s) against rule {r.name}")
-        if not sites:
-            reasons.append(f"rule {r.name} has no unfold site")
-        if mismatches:
-            reasons.append(
-                f"{len(mismatches)} unfolded version(s) of {r.name} change the guard"
-            )
-        return ReplacementVerdict(
-            not reasons, sites, hazards, mismatches, reasons
-        )
     if mode == "weak":
-        keeps_guard = [u for u in unfolded if guards_equivalent(r.guard, u.guard)]
-        if not keeps_guard:
+        if not any(guards_equivalent(r.guard, u.guard) for u in unfolded):
             reasons.append(
                 f"no unfolded version of {r.name} keeps the guard equivalent"
             )
-        return ReplacementVerdict(not reasons, sites, [], [], reasons)
-    raise ValueError(f"unknown mode {mode!r}")
+        return ReplacementVerdict(not reasons, sites, [], [], reasons, unfolded)
+    hazards = deletion_hazards(program, target_index, found)
+    mismatches = [u for u in unfolded if not guards_equivalent(r.guard, u.guard)]
+    if hazards:
+        reasons.append(f"{len(hazards)} hazard(s) against rule {r.name}")
+    if not sites:
+        reasons.append(f"rule {r.name} has no unfold site")
+    if mismatches:
+        reasons.append(
+            f"{len(mismatches)} unfolded version(s) of {r.name} change the guard"
+        )
+    return ReplacementVerdict(not reasons, sites, hazards, mismatches, reasons, unfolded)
 
 
 @dataclass
@@ -174,16 +156,16 @@ def replace_rule(
     """
     r = program.rules[target_index]
     verdict = None
-    if mode in ("safe", "weak"):
+    if mode == "force":
+        added = unfold_all(program, target_index)
+    else:
         verdict = check_replacement(program, target_index, mode)
         if not verdict.ok:
             raise ValueError(
                 f"rule {r.name} cannot be replaced ({mode}): "
                 + "; ".join(verdict.reasons)
             )
-    elif mode != "force":
-        raise ValueError(f"unknown mode {mode!r}")
-    added = unfold_all(program, target_index)
+        added = verdict.unfolded
     rules = (
         program.rules[:target_index]
         + tuple(added)

@@ -7,10 +7,12 @@ points. Answers are read off the terminal states: failure collapses to
 built-in store restricted to the variables worth showing. Terminal states
 are deduplicated modulo renaming away from the goal variables.
 
-Dedup, of the states ``explore`` visits and of the answers, goes through a
-``StateIndex``: states are bucketed by their multiset of atom shapes, a
-bucket's renaming-invariant fingerprints (``state_fingerprint``) are only
-computed once it holds a second state, and the exact
+``explore`` dedups the non-failed states it visits, terminal ones
+included, through a ``StateIndex``, so its non-failed finals are already
+pairwise inequivalent; of its failed finals, all equivalent, the answers
+keep the first. A ``StateIndex`` buckets states by their multiset of atom
+shapes, a bucket's renaming-invariant fingerprints (``state_fingerprint``)
+are only computed once it holds a second state, and the exact
 ``states_equivalent_mod`` runs only between states with equal fingerprints.
 
 Every search here and in ``analysis`` is a loop body over one ``Walk``, a
@@ -221,8 +223,10 @@ def qualified_answers(
         max_applies=max_applies,
         max_states=max_states,
     )
-    seen = StateIndex(res.goal_vars)
-    reps = [fs for fs in res.finals if seen.add(fs.atoms, fs.builtins, fs.tokens)]
+    # explore's dedup left no two equivalent non-failed finals, and the
+    # failed ones are all equivalent: the first stands for the rest
+    failed = next((fs for fs in res.finals if fs.failed), None)
+    reps = [fs for fs in res.finals if not fs.failed or fs is failed]
     rendered = [(render_answer(fs, res.goal_vars), fs) for fs in reps]
     rendered.sort(key=lambda pair: pair[0].text)
     return AnswerSet(
@@ -260,19 +264,6 @@ def lockstep_run(
     fresh_s = FreshSupply("_R", goal_vars)
     fresh_a = FreshSupply("_R", goal_vars)
 
-    def corresponds(cs, ca) -> bool:
-        return configs_correspond(
-            cs.goal,
-            cs.store,
-            cs.builtins,
-            cs.tokens,
-            cs.counter,
-            ca.store,
-            ca.builtins,
-            ca.tokens,
-            ca.counter,
-        )
-
     finals = solve_count = apply_count = 0
     walk = Walk((standard.initial(goal), annotated.initial(goal)), max_applies, max_states)
 
@@ -283,7 +274,7 @@ def lockstep_run(
         )
 
     for (cs, ca), depth in walk:
-        if not corresponds(cs, ca):
+        if not configs_correspond(cs, ca):
             return report(f"states diverged entering node {walk.expanded}")
         cs, ns = standard.drain(cs)
         ca, na = annotated.drain(ca)
@@ -295,7 +286,7 @@ def lockstep_run(
                 return report(f"only one side failed at node {walk.expanded}")
             finals += 1
             continue
-        if not corresponds(cs, ca):
+        if not configs_correspond(cs, ca):
             return report(f"states diverged after draining node {walk.expanded}")
         succ_s = standard.successors(prog_std, cs, fresh_s)
         succ_a = annotated.successors(prog_ann, ca, fresh_a)

@@ -127,10 +127,9 @@ class Program:
 
 
 def clean_tokens(tokens: Iterable, live) -> frozenset:
-    """Drop tokens that mention an identifier with no live atom behind it.
-
-    ``live`` is an iterable of IdAtoms or of bare identifiers."""
-    alive = {x.ident if isinstance(x, IdAtom) else x for x in live}
+    """Drop tokens that mention an identifier with no atom of ``live``
+    (identified atoms) behind it."""
+    alive = {a.ident for a in live}
     return frozenset(t for t in tokens if set(t.idents) <= alive)
 
 

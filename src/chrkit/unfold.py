@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from .constraints import TRUE, conjoin, entails_exists, entailment_witness, satisfiable
 from .equivalence import rules_isomorphic
-from .syntax import IdAtom, Program, Rule, Token, clean_tokens
+from .syntax import IdAtom, Program, Rule, Token, clean_tokens, print_term
 from .terms import FreshSupply, apply_subst, rename_apart, vars_of
 from .semantics.annotated import shift_identifiers
 from .semantics.matching import argument_equations, functor_index, head_assignments
@@ -34,12 +34,15 @@ class UnfoldSite:
 
 
 def _dedup_equations(eqs) -> tuple:
+    """The equations without trivial ones and without repeats in either
+    orientation, judged by printed text."""
     out = []
     seen = set()
     for e in eqs:
-        if e.lhs == e.rhs:
+        lhs, rhs = print_term(e.lhs), print_term(e.rhs)
+        if lhs == rhs:
             continue
-        key = frozenset((repr(e.lhs), repr(e.rhs)))
+        key = frozenset((lhs, rhs))
         if key in seen:
             continue
         seen.add(key)
@@ -149,11 +152,17 @@ def unfold_sites(program: Program, target_index: int) -> List[UnfoldSite]:
     return out
 
 
-def unfold_all(program: Program, target_index: int) -> List[Rule]:
-    """The set of rules obtainable by unfolding the target rule once,
-    without duplicates (modulo variable and identifier renaming)."""
+def distinct_rules(sites) -> List[Rule]:
+    """The sites' unfolded rules without duplicates (modulo variable and
+    identifier renaming), first occurrences in site order."""
     out: List[Rule] = []
-    for site in unfold_sites(program, target_index):
+    for site in sites:
         if not any(rules_isomorphic(site.rule, seen) for seen in out):
             out.append(site.rule)
     return out
+
+
+def unfold_all(program: Program, target_index: int) -> List[Rule]:
+    """The set of rules obtainable by unfolding the target rule once,
+    without duplicates (modulo variable and identifier renaming)."""
+    return distinct_rules(unfold_sites(program, target_index))

@@ -350,6 +350,27 @@ def test_states_of_1200_equal_atoms_are_compared_without_recursion(
     assert "truncated" in err
 
 
+def test_a_1500_deep_rule_body_is_unfolded_checked_and_transformed(tmp_path, capsys):
+    # unfolding q records the equation Z = s^1500(z), which is deduplicated
+    # by its printed text
+    deep = _nested("s(", 1500, "z")
+    prog = tmp_path / "deep.chr"
+    prog.write_text(f"r @ p(X) <=> q(X, {deep}).\nv @ q(Y, Z) <=> t(Y, Z).\n")
+    unfolded = f"r @ p(X) <=> t(_U1,_U2)#2, X=_U1, {deep}=_U2.\n"
+    code, out, err = run_cli(capsys, "unfold", str(prog), "--rule", "r", "--all")
+    assert (code, out, err) == (0, unfolded, "")
+    code, out, err = run_cli(capsys, "check-replace", str(prog), "--rule", "r")
+    assert (code, err) == (0, "")
+    assert out.startswith("rule r is replaceable under the safe criterion\n")
+    out_path = tmp_path / "deep2.chr"
+    code, _, err = run_cli(
+        capsys, "transform", str(prog), "--sequence", "r", "--goal", "p(a)",
+        "--out", str(out_path), "--cert", str(tmp_path / "deep2.cert.jsonl"),
+    )
+    assert (code, err) == (0, "")
+    assert out_path.read_text() == unfolded + "v @ q(Y,Z) <=> t(Y,Z)#1.\n"
+
+
 # Fresh names skip the names the program and the goal already use: a goal
 # or rule variable named like a fresh one is never captured.
 

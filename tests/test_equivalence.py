@@ -1,5 +1,7 @@
 """State, configuration, and rule comparison modulo renaming."""
 
+from dataclasses import replace
+
 from chrkit.constraints import FAILED, TRUE, conjoin
 from chrkit.equivalence import (
     configs_correspond,
@@ -151,10 +153,7 @@ def test_initial_configurations_correspond():
     goal = parse_goal("p(X), X=a, q(Y)")
     s = std.initial(goal)
     f = ann.initial(goal)
-    assert configs_correspond(
-        goal, s.store, s.builtins, s.tokens, s.counter,
-        f.store, f.builtins, f.tokens, f.counter,
-    )
+    assert configs_correspond(s, f)
 
 
 def test_correspondence_tracks_introduction():
@@ -162,16 +161,10 @@ def test_correspondence_tracks_introduction():
     s = std.initial(goal)
     f = ann.initial(goal)
     s1 = std.introduce_step(s)
-    assert configs_correspond(
-        s1.goal, s1.store, s1.builtins, s1.tokens, s1.counter,
-        f.store, f.builtins, f.tokens, f.counter,
-    )
+    assert configs_correspond(s1, f)
     # before the introduction the fused atom #1 is still "pending": fine;
     # but claiming zero pending atoms with counter 1 is inconsistent
-    assert not configs_correspond(
-        (), s.store, s.builtins, s.tokens, s.counter,
-        f.store, f.builtins, f.tokens, f.counter,
-    )
+    assert not configs_correspond(replace(s, goal=()), f)
 
 
 def test_correspondence_rejects_tokened_pending_atoms():
@@ -179,20 +172,14 @@ def test_correspondence_rejects_tokened_pending_atoms():
     f = ann.initial(goal)
     s = std.initial(goal)
     poisoned = frozenset({Token("r2", (1,))})
-    assert not configs_correspond(
-        goal, s.store, s.builtins, s.tokens, s.counter,
-        f.store, f.builtins, poisoned, f.counter,
-    )
+    assert not configs_correspond(s, replace(f, tokens=poisoned))
 
 
 def test_correspondence_checks_counter_arithmetic():
     goal = parse_goal("p(X), q(Y)")
     s = std.initial(goal)
     f = ann.initial(goal)
-    assert not configs_correspond(
-        goal, s.store, s.builtins, s.tokens, s.counter,
-        f.store, f.builtins, f.tokens, f.counter + 1,
-    )
+    assert not configs_correspond(s, replace(f, counter=f.counter + 1))
 
 
 # ----------------------------------------------------------------- rules

@@ -71,7 +71,7 @@ def test_unify_only_hazard_on_instance_dependent_match():
 
 def test_covered_sites_and_tokens_are_not_hazards():
     p = annotated("chain")
-    assert deletion_hazards(p, 0) == []
+    assert deletion_hazards(p, 0, unfold_sites(p, 0)) == []
     # after unfolding, the recorded token keeps the same firing from
     # resurfacing as a hazard
     p2 = annotated("token_update")
@@ -79,7 +79,7 @@ def test_covered_sites_and_tokens_are_not_hazards():
     extended = type(p2)((site.rule,) + p2.rules[1:], annotated=True)
     assert not any(
         h.source_name == "r2" and h.idents == (1,)
-        for h in deletion_hazards(extended, 0)
+        for h in deletion_hazards(extended, 0, unfold_sites(extended, 0))
     )
 
 

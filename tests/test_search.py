@@ -1,16 +1,22 @@
 """Derivation search, answer rendering, and the two-semantics lockstep."""
 
+from hypothesis import example, given, settings, strategies as st
+
 from chrkit import equivalence
 from chrkit.analysis import check_normal_termination, probe_solve_orders
 from chrkit.semantics.search import (
+    AnswerSet,
+    StateIndex,
     explore,
     lockstep_run,
     qualified_answers,
     render_answer,
 )
-from chrkit.syntax import parse_goal, parse_program
+from chrkit.syntax import Program, Rule, parse_goal, parse_program
+from chrkit.terms import Compound, Equation, FalseConstraint
 
 from conftest import load
+from test_matching import CONSTS, GOAL_VARS, HEAD_VARS, LOCAL, terms
 
 
 def test_failed_branches_render_as_false():
@@ -164,3 +170,82 @@ def test_a_branch_ending_at_the_apply_budget_is_not_truncated():
     # the probe's step budget cuts any node at the budget, leaves included
     probe = probe_solve_orders(p, goal, max_steps=1)
     assert probe.truncated and not probe.cycle_found
+
+
+def test_lockstep_aligns_a_goal_with_a_1500_deep_binding():
+    deep = "s(" * 1500 + "z" + ")" * 1500
+    report = lockstep_run(
+        parse_program("r @ p(X) <=> q(X)."), parse_goal(f"X = {deep}, p(X)")
+    )
+    assert report.aligned and report.finals == 1 and report.solve_count == 1
+
+
+# --------------------------------------------------- answers from explore
+
+
+def reference_qualified_answers(program, goal, semantics, **budgets) -> AnswerSet:
+    """The answers as a second ``StateIndex`` pass over explore's finals
+    picked them, kept verbatim."""
+    res = explore(program, goal, semantics=semantics, **budgets)
+    seen = StateIndex(res.goal_vars)
+    reps = [fs for fs in res.finals if seen.add(fs.atoms, fs.builtins, fs.tokens)]
+    rendered = [(render_answer(fs, res.goal_vars), fs) for fs in reps]
+    rendered.sort(key=lambda pair: pair[0].text)
+    return AnswerSet(
+        tuple(a for a, _ in rendered),
+        tuple(fs for _, fs in rendered),
+        res.truncated,
+        res.goal_vars,
+    )
+
+
+def p_or_h(term):
+    return st.one_of(st.builds(lambda t: Compound("p", (t,)), term), st.just(Compound("h", ())))
+
+
+BODY_TERMS = terms(HEAD_VARS + (LOCAL,), 1)
+HEADS = p_or_h(st.sampled_from(HEAD_VARS + CONSTS[:1]))
+BODY_ITEMS = st.one_of(
+    p_or_h(BODY_TERMS),
+    st.builds(Equation, BODY_TERMS, BODY_TERMS),
+    st.just(FalseConstraint()),
+)
+GOAL_ITEMS = st.one_of(
+    p_or_h(terms(GOAL_VARS, 1)),
+    st.builds(Equation, st.sampled_from(GOAL_VARS), terms(GOAL_VARS, 1)),
+)
+
+
+@st.composite
+def programs_and_goals(draw):
+    """Rules with heads that match often and bodies that may fail, and a
+    goal of atoms and equations: searches that branch, with several
+    answers and several failed finals."""
+    rules = []
+    for i in range(draw(st.integers(1, 3))):
+        heads = draw(st.lists(HEADS, min_size=1, max_size=2))
+        split = draw(st.integers(0, len(heads)))
+        guard = draw(st.lists(
+            st.builds(Equation, st.sampled_from(HEAD_VARS), terms(HEAD_VARS, 1)), max_size=1,
+        ))
+        body = draw(st.lists(BODY_ITEMS, max_size=3))
+        rules.append(Rule(
+            f"r{i}", tuple(heads[:split]), tuple(heads[split:]), tuple(guard), tuple(body),
+        ))
+    goal = draw(st.lists(GOAL_ITEMS, min_size=1, max_size=4))
+    return Program(tuple(rules)), tuple(goal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs_and_goals(), st.sampled_from(("standard", "annotated")))
+@example(
+    (parse_program("a @ h <=> false. b @ h <=> p(a). c @ h <=> false. d @ h <=> p(b)."),
+     parse_goal("h")),
+    "standard",
+)
+def test_answers_match_a_second_dedup_pass_over_the_finals(case, semantics):
+    program, goal = case
+    budgets = {"max_applies": 5, "max_states": 200}
+    assert qualified_answers(program, goal, semantics, **budgets) == (
+        reference_qualified_answers(program, goal, semantics, **budgets)
+    )

@@ -282,4 +282,5 @@ def test_unfold_sites_match_the_permutation_enumeration(case):
 @given(annotated_programs())
 def test_deletion_hazards_match_the_permutation_enumeration(case):
     program, target = case
-    assert deletion_hazards(program, target) == reference_deletion_hazards(program, target)
+    sites = unfold_sites(program, target)
+    assert deletion_hazards(program, target, sites) == reference_deletion_hazards(program, target)

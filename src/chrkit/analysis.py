@@ -11,10 +11,11 @@ are resolved into the atoms, and the built-in store is restricted to the
 variables still reachable from the goal or the atoms. A branch that repeats
 an ancestor's view (modulo renaming away from the goal variables) can be
 replayed forever, since rule applicability only ever consults that part of
-the state. Each view on a branch's history carries its fingerprint
-(``state_fingerprint``), and only ancestors with an equal fingerprint get
-the exact check; the scan keeps its order, so the first repeated ancestor
-is the same.
+the state. Each view on a branch's history, like each final state that
+``diff_answer_sets`` matches, carries its fingerprint
+(``state_fingerprint``), and one scan (``_first``) gives only entries with
+an equal fingerprint the exact check; the scan keeps its order, so the
+first repeated ancestor is the same.
 """
 
 from __future__ import annotations
@@ -36,23 +37,30 @@ from .syntax import print_item
 from .terms import FreshSupply, apply_subst, vars_of
 
 
+def _keyed(state, goal_vars):
+    """The state ``(atoms, builtins, tokens)`` paired with its fingerprint."""
+    return state, state_fingerprint(*state, goal_vars)
+
+
 def _live_view(atoms, builtins: Store, tokens, goal_vars):
-    """The state's live view and the view's fingerprint."""
+    """The state's live view, keyed."""
     if not builtins.failed:
         atoms = apply_subst(tuple(atoms), solve(builtins))
     keep = set(goal_vars) | vars_of(atoms)
-    view = (atoms, Store(project(builtins, keep)), tokens)
-    return view, state_fingerprint(*view, goal_vars)
+    return _keyed((atoms, Store(project(builtins, keep)), tokens), goal_vars)
 
 
-def _repeat(history, view, fingerprint, goal_vars) -> Optional[int]:
-    """The index of the first ancestor view the given view repeats."""
-    key, profiles = fingerprint
-    for first, (old, (old_key, old_profiles)) in enumerate(history):
-        if old_key == key and states_equivalent_mod(
-            *old, *view, goal_vars, old_profiles, profiles
-        ):
-            return first
+def _first(entries, keyed, goal_vars) -> Optional[int]:
+    """The index of the first keyed entry, skipping None, whose state is
+    equivalent to the keyed state."""
+    state, (key, profiles) = keyed
+    for i, entry in enumerate(entries):
+        if entry is not None:
+            old, (old_key, old_profiles) = entry
+            if old_key == key and states_equivalent_mod(
+                *old, *state, goal_vars, old_profiles, profiles
+            ):
+                return i
     return None
 
 
@@ -89,10 +97,8 @@ def check_normal_termination(
         cfg, _ = annotated.drain(cfg)
         if cfg.failed:
             continue
-        view, fingerprint = _live_view(
-            annotated.chr_atoms(cfg), cfg.builtins, cfg.tokens, goal_vars
-        )
-        first = _repeat(history, view, fingerprint, goal_vars)
+        view = _live_view(annotated.chr_atoms(cfg), cfg.builtins, cfg.tokens, goal_vars)
+        first = _first(history, view, goal_vars)
         if first is not None:
             return TerminationReport(
                 "diverges", Cycle(trace, first, depth), walk.expanded,
@@ -101,7 +107,7 @@ def check_normal_termination(
         walk.expand(depth, [
             (
                 child,
-                history + ((view, fingerprint),),
+                history + (view,),
                 trace + ((firing.rule.name, firing.idents),),
             )
             for firing, child in annotated.successors(program, cfg, fresh)
@@ -182,10 +188,10 @@ def probe_solve_orders(
             children.append((annotated.solve_at(cfg, i), history, applies, trace + (label,)))
         for firing, child in annotated.successors(program, cfg, fresh):
             label = ("apply", firing.rule.name, firing.idents)
-            view, fingerprint = _live_view(
+            view = _live_view(
                 annotated.chr_atoms(child), child.builtins, child.tokens, goal_vars
             )
-            first = _repeat(history, view, fingerprint, goal_vars)
+            first = _first(history, view, goal_vars)
             if first is not None:
                 return ProbeReport(
                     True,
@@ -193,10 +199,7 @@ def probe_solve_orders(
                     walk.expanded,
                     walk.truncated,
                 )
-            children.append((
-                child, history + ((view, fingerprint),), applies + 1,
-                trace + (label,),
-            ))
+            children.append((child, history + (view,), applies + 1, trace + (label,)))
         walk.expand(steps, children)
     return ProbeReport(False, None, walk.expanded, walk.truncated)
 
@@ -217,27 +220,18 @@ def diff_answer_sets(left: AnswerSet, right: AnswerSet) -> AnswerDiff:
     goal_vars = left.goal_vars
 
     def keyed(fs: FinalState):
-        state = (fs.atoms, fs.builtins, fs.tokens)
-        return state, state_fingerprint(*state, goal_vars)
+        return _keyed((fs.atoms, fs.builtins, fs.tokens), goal_vars)
 
+    # a matched right final is set to None, so it is matched once
     rights = [keyed(fr) for fr in right.finals]
-    unmatched = list(range(len(rights)))
     only_left = []
     for i, fl in enumerate(left.finals):
-        state, (key, profiles) = keyed(fl)
-        hit = None
-        for j in unmatched:
-            other, (other_key, other_profiles) = rights[j]
-            if other_key == key and states_equivalent_mod(
-                *state, *other, goal_vars, profiles, other_profiles
-            ):
-                hit = j
-                break
+        hit = _first(rights, keyed(fl), goal_vars)
         if hit is None:
             only_left.append(left.answers[i].text)
         else:
-            unmatched.remove(hit)
-    only_right = [right.answers[j].text for j in unmatched]
+            rights[hit] = None
+    only_right = [right.answers[j].text for j, r in enumerate(rights) if r is not None]
     return AnswerDiff(
         not only_left and not only_right,
         only_left,

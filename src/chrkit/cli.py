@@ -46,15 +46,17 @@ class CliError(Exception):
     pass
 
 
-def _load_program(path: str):
+def _load_program(path: str, annotated: bool = False):
+    """The program in the file; with ``annotated``, a plain one annotated."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
-        return parse_program(text)
+        program = parse_program(text)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    return annotate(program) if annotated and not program.annotated else program
 
 
 def _load_goals(args) -> list:
@@ -88,10 +90,22 @@ def _rule_index(program, name: str) -> int:
     return hits[0]
 
 
+def _answers(args, program, goal, semantics: str):
+    """The goal's answers within the command's budgets."""
+    return qualified_answers(
+        program, goal, semantics=semantics,
+        max_applies=args.max_depth, max_states=args.max_states,
+    )
+
+
+def _record(payload: dict) -> str:
+    """One ``chrkit/1`` JSON line."""
+    return json.dumps({"schema": SCHEMA, **payload}, sort_keys=True)
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
-        payload = {"schema": SCHEMA, **payload}
-        print(json.dumps(payload, sort_keys=True))
+        print(_record(payload))
     elif text:
         print(text)
 
@@ -105,26 +119,21 @@ def _hazard_line(h) -> str:
     )
 
 
-def cmd_parse(args) -> int:
-    program = _load_program(args.program)
+def _print_rules(args, program) -> int:
     if args.json:
         for rule in program.rules:
-            _emit(args, {"cmd": "parse", "rule": print_rule(rule)}, "")
+            _emit(args, {"cmd": args.command, "rule": print_rule(rule)}, "")
     else:
         sys.stdout.write(print_program(program))
     return EXIT_OK
+
+
+def cmd_parse(args) -> int:
+    return _print_rules(args, _load_program(args.program))
 
 
 def cmd_annotate(args) -> int:
-    program = _load_program(args.program)
-    if not program.annotated:
-        program = annotate(program)
-    if args.json:
-        for rule in program.rules:
-            _emit(args, {"cmd": "annotate", "rule": print_rule(rule)}, "")
-    else:
-        sys.stdout.write(print_program(program))
-    return EXIT_OK
+    return _print_rules(args, _load_program(args.program, annotated=True))
 
 
 def cmd_run(args) -> int:
@@ -133,13 +142,7 @@ def cmd_run(args) -> int:
     semantics = _SEMANTICS_ALIASES[args.semantics]
     code = EXIT_OK
     for text, goal in goals:
-        answers = qualified_answers(
-            program,
-            goal,
-            semantics=semantics,
-            max_applies=args.max_depth,
-            max_states=args.max_states,
-        )
+        answers = _answers(args, program, goal, semantics)
         if args.json:
             _emit(
                 args,
@@ -165,9 +168,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_unfold(args) -> int:
-    program = _load_program(args.program)
-    if not program.annotated:
-        program = annotate(program)
+    program = _load_program(args.program, annotated=True)
     target = _rule_index(program, args.rule)
     if args.all:
         for rule in unfold_all(program, target):
@@ -201,9 +202,7 @@ def cmd_unfold(args) -> int:
 
 
 def cmd_check_replace(args) -> int:
-    program = _load_program(args.program)
-    if not program.annotated:
-        program = annotate(program)
+    program = _load_program(args.program, annotated=True)
     target = _rule_index(program, args.rule)
     mode = "weak" if args.weak else "safe"
     verdict = check_replacement(program, target, mode)
@@ -245,10 +244,7 @@ def cmd_check_replace(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    program = _load_program(args.program)
-    if not program.annotated:
-        program = annotate(program)
-    original = program
+    original = program = _load_program(args.program, annotated=True)
     goals = _load_goals(args)
     mode = "weak" if args.weak else "safe"
     names = [n.strip() for n in args.sequence.split(",") if n.strip()]
@@ -265,45 +261,29 @@ def cmd_transform(args) -> int:
     cert_path = Path(args.cert) if args.cert else Path(str(out_path) + ".cert.jsonl")
     code = EXIT_OK
     lines = [
-        json.dumps(
-            {
-                "schema": SCHEMA,
-                "cmd": "transform",
-                "program": args.program,
-                "sequence": names,
-                "mode": mode,
-                "output": str(out_path),
-                "seed": args.seed,
-            },
-            sort_keys=True,
-        )
+        _record({
+            "cmd": "transform",
+            "program": args.program,
+            "sequence": names,
+            "mode": mode,
+            "output": str(out_path),
+            "seed": args.seed,
+        })
     ]
     # the certificate is about the fused-store answers: only that reading
     # understands the token stores the unfolded rules carry
     for text, goal in goals:
-        before = qualified_answers(
-            original, goal, semantics="annotated",
-            max_applies=args.max_depth, max_states=args.max_states,
-        )
-        after = qualified_answers(
-            program, goal, semantics="annotated",
-            max_applies=args.max_depth, max_states=args.max_states,
-        )
+        before = _answers(args, original, goal, "annotated")
+        after = _answers(args, program, goal, "annotated")
         diff = diff_answer_sets(before, after)
-        lines.append(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "cmd": "transform-goal",
-                    "goal": text,
-                    "answers_before": list(before.texts),
-                    "answers_after": list(after.texts),
-                    "equal": diff.equal,
-                    "truncated": diff.truncated,
-                },
-                sort_keys=True,
-            )
-        )
+        lines.append(_record({
+            "cmd": "transform-goal",
+            "goal": text,
+            "answers_before": list(before.texts),
+            "answers_after": list(after.texts),
+            "equal": diff.equal,
+            "truncated": diff.truncated,
+        }))
         if diff.truncated:
             code = max(code, EXIT_TRUNCATED)
         if not diff.equal:
@@ -339,14 +319,8 @@ def cmd_verify(args) -> int:
         term = check_normal_termination(
             program, goal, max_applies=args.max_depth, max_states=args.max_states
         )
-        std = qualified_answers(
-            program, goal, semantics="standard",
-            max_applies=args.max_depth, max_states=args.max_states,
-        )
-        ann = qualified_answers(
-            program, goal, semantics="annotated",
-            max_applies=args.max_depth, max_states=args.max_states,
-        )
+        std = _answers(args, program, goal, "standard")
+        ann = _answers(args, program, goal, "annotated")
         conf = confluence_of(ann)
         diff = diff_answer_sets(std, ann)
         qa_equal = "yes" if diff.equal else "NO"

@@ -325,14 +325,15 @@ def configs_correspond(std, fused) -> bool:
     k1_ids = set()
     for j, atom in enumerate(goal_atoms):
         ia = by_id.get(std.counter + j)
-        if ia is None or ia.atom != atom:
+        # atoms are compared as printed text: term equality recurses over depth
+        if ia is None or print_item(ia.atom) != print_item(atom):
             return False
         k1_ids.add(ia.ident)
     token_ids = {i for t in fused_tokens for i in t.idents}
     if k1_ids & token_ids:
         return False
-    introduced = {a.ident: a.atom for a in fused_atoms if a.ident not in k1_ids}
-    return introduced == {a.ident: a.atom for a in std.store} and std_tokens == fused_tokens
+    introduced = [a for a in fused_atoms if a.ident not in k1_ids]
+    return _multiset_equal(introduced, std.store) and std_tokens == fused_tokens
 
 
 def _rule_items(rule, flipped: bool) -> list:

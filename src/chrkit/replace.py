@@ -64,8 +64,8 @@ def deletion_hazards(program: Program, target_index: int, sites) -> List[Hazard]
     out: List[Hazard] = []
     for si, source in enumerate(program.rules):
         v, _ = rename_apart(source, fresh=FreshSupply("_H", target_vars))
-        heads = v.kept + v.removed
-        frozen = vars_of((v.guard, v.body)) - vars_of((v.kept, v.removed))
+        heads = v.heads
+        frozen = vars_of((v.guard, v.body)) - vars_of(heads)
         width = len(heads)
         subsets = [tuple(range(width))] + [
             subset

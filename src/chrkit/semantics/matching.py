@@ -142,7 +142,7 @@ def enumerate_firings(program, atoms, builtins: Store, tokens, fresh: FreshSuppl
     out: List[Firing] = []
     for idx, rule in enumerate(program.rules):
         renamed, _ = rename_apart(rule, fresh=fresh)
-        heads = renamed.kept + renamed.removed
+        heads = renamed.heads
         for chosen, theta in head_assignments(heads, ordered, index, mgu):
             combo = tuple(ordered[j] for j in chosen)
             token = Token(rule.name, tuple(a.ident for a in combo))

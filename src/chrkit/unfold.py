@@ -71,7 +71,7 @@ def unfold_at(program: Program, target_index: int, source_index: int,
     v, _ = rename_apart(program.rules[source_index], fresh=FreshSupply("_U", vars_of(r)))
     body_atoms, body_builtins = _body_split(r)
     by_id = {a.ident: a for a in body_atoms}
-    heads = v.kept + v.removed
+    heads = v.heads
     if len(idents) != len(heads) or len(set(idents)) != len(idents):
         return None
     try:
@@ -90,7 +90,7 @@ def unfold_at(program: Program, target_index: int, source_index: int,
     if assumed.failed:
         return None
     eqs = argument_equations(matched, heads)
-    theta = entailment_witness(assumed, vars_of((v.kept, v.removed)), eqs)
+    theta = entailment_witness(assumed, vars_of(heads), eqs)
     if theta is None:
         return None
     residue = tuple(
@@ -143,7 +143,7 @@ def unfold_sites(program: Program, target_index: int) -> List[UnfoldSite]:
     index = functor_index(ordered)
     out: List[UnfoldSite] = []
     for si, v in enumerate(program.rules):
-        for chosen, _ in head_assignments(v.kept + v.removed, ordered, index):
+        for chosen, _ in head_assignments(v.heads, ordered, index):
             site = unfold_at(
                 program, target_index, si, tuple(ordered[j].ident for j in chosen)
             )

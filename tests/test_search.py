@@ -180,6 +180,18 @@ def test_lockstep_aligns_a_goal_with_a_1500_deep_binding():
     assert report.aligned and report.finals == 1 and report.solve_count == 1
 
 
+def test_lockstep_aligns_a_rule_body_holding_a_1500_deep_term():
+    # the goal and introduced atoms of both readings are compared as text:
+    # comparing the terms themselves recursed once per nesting level
+    deep = "s(" * 1500 + "z" + ")" * 1500
+    report = lockstep_run(
+        parse_program(f"r @ p(X) <=> q(X, {deep}). v @ q(Y, Z) <=> t(Y, Z)."),
+        parse_goal("p(a)"),
+    )
+    assert report.aligned and not report.truncated
+    assert (report.finals, report.apply_count, report.solve_count) == (1, 2, 0)
+
+
 # --------------------------------------------------- answers from explore
 
 

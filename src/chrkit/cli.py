@@ -46,14 +46,17 @@ class CliError(Exception):
     pass
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_program(path: str, annotated: bool = False):
     """The program in the file; with ``annotated``, a plain one annotated."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    try:
-        program = parse_program(text)
+        program = parse_program(_read(path))
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
     return annotate(program) if annotated and not program.annotated else program
@@ -62,11 +65,7 @@ def _load_program(path: str, annotated: bool = False):
 def _load_goals(args) -> list:
     texts = list(args.goal or [])
     if args.goals:
-        try:
-            lines = Path(args.goals).read_text().splitlines()
-        except OSError as exc:
-            raise CliError(f"cannot read {args.goals}: {exc}") from exc
-        for line in lines:
+        for line in _read(args.goals).splitlines():
             line = line.split("%", 1)[0].strip()
             if line:
                 texts.append(line)
@@ -110,6 +109,13 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _outcome(truncated: bool, negative: bool = False) -> int:
+    """The exit code of one goal: a negative finding outranks a budget hit."""
+    if negative:
+        return EXIT_NEGATIVE
+    return EXIT_TRUNCATED if truncated else EXIT_OK
+
+
 def _hazard_line(h) -> str:
     if h.kind == "unify-only":
         return f"unify-only: {h.detail}"
@@ -120,10 +126,9 @@ def _hazard_line(h) -> str:
 
 
 def _print_rules(args, program) -> int:
-    if args.json:
-        for rule in program.rules:
-            _emit(args, {"cmd": args.command, "rule": print_rule(rule)}, "")
-    else:
+    for rule in program.rules:
+        _emit(args, {"cmd": args.command, "rule": print_rule(rule)}, "")
+    if not args.json:
         sys.stdout.write(print_program(program))
     return EXIT_OK
 
@@ -143,27 +148,21 @@ def cmd_run(args) -> int:
     code = EXIT_OK
     for text, goal in goals:
         answers = _answers(args, program, goal, semantics)
-        if args.json:
-            _emit(
-                args,
-                {
-                    "cmd": "run",
-                    "goal": text,
-                    "semantics": semantics,
-                    "answers": list(answers.texts),
-                    "truncated": answers.truncated,
-                },
-                "",
-            )
-        else:
-            if len(goals) > 1:
-                print(f"% goal: {text}")
-            for ans in answers.texts:
-                print(ans)
-            if answers.truncated:
-                print("% truncated: exploration budget hit", file=sys.stderr)
-        if answers.truncated:
-            code = EXIT_TRUNCATED
+        header = [f"% goal: {text}"] if len(goals) > 1 else []
+        _emit(
+            args,
+            {
+                "cmd": "run",
+                "goal": text,
+                "semantics": semantics,
+                "answers": list(answers.texts),
+                "truncated": answers.truncated,
+            },
+            "\n".join(header + list(answers.texts)),
+        )
+        if answers.truncated and not args.json:
+            print("% truncated: exploration budget hit", file=sys.stderr)
+        code = max(code, _outcome(answers.truncated))
     return code
 
 
@@ -206,40 +205,34 @@ def cmd_check_replace(args) -> int:
     target = _rule_index(program, args.rule)
     mode = "weak" if args.weak else "safe"
     verdict = check_replacement(program, target, mode)
-    if args.json:
-        _emit(
-            args,
-            {
-                "cmd": "check-replace",
-                "rule": args.rule,
-                "mode": mode,
-                "ok": verdict.ok,
-                "sites": [
-                    {"source": program.rules[si].name, "ids": list(ids)}
-                    for si, ids in verdict.sites
-                ],
-                "hazards": [
-                    {"kind": h.kind, "source": h.source_name,
-                     "ids": list(h.idents), "positions": list(h.positions)}
-                    for h in verdict.hazards
-                ],
-                "guard_mismatches": [print_rule(u) for u in verdict.guard_mismatches],
-                "reasons": list(verdict.reasons),
-            },
-            "",
-        )
-    else:
-        word = "replaceable" if verdict.ok else "NOT replaceable"
-        print(f"rule {args.rule} is {word} under the {mode} criterion")
-        for si, ids in verdict.sites:
-            print(f"  unfold site: {program.rules[si].name} at "
-                  + ",".join(str(i) for i in ids))
-        for h in verdict.hazards:
-            print(f"  hazard: {_hazard_line(h)}")
-        for u in verdict.guard_mismatches:
-            print(f"  guard changes in: {print_rule(u)}")
-        for reason in verdict.reasons:
-            print(f"  {reason}")
+    word = "replaceable" if verdict.ok else "NOT replaceable"
+    lines = [f"rule {args.rule} is {word} under the {mode} criterion"]
+    lines += [f"  unfold site: {program.rules[si].name} at "
+              + ",".join(str(i) for i in ids) for si, ids in verdict.sites]
+    lines += [f"  hazard: {_hazard_line(h)}" for h in verdict.hazards]
+    lines += [f"  guard changes in: {print_rule(u)}" for u in verdict.guard_mismatches]
+    lines += [f"  {reason}" for reason in verdict.reasons]
+    _emit(
+        args,
+        {
+            "cmd": "check-replace",
+            "rule": args.rule,
+            "mode": mode,
+            "ok": verdict.ok,
+            "sites": [
+                {"source": program.rules[si].name, "ids": list(ids)}
+                for si, ids in verdict.sites
+            ],
+            "hazards": [
+                {"kind": h.kind, "source": h.source_name,
+                 "ids": list(h.idents), "positions": list(h.positions)}
+                for h in verdict.hazards
+            ],
+            "guard_mismatches": [print_rule(u) for u in verdict.guard_mismatches],
+            "reasons": list(verdict.reasons),
+        },
+        "\n".join(lines),
+    )
     return EXIT_OK if verdict.ok else EXIT_NEGATIVE
 
 
@@ -284,10 +277,7 @@ def cmd_transform(args) -> int:
             "equal": diff.equal,
             "truncated": diff.truncated,
         }))
-        if diff.truncated:
-            code = max(code, EXIT_TRUNCATED)
-        if not diff.equal:
-            code = EXIT_NEGATIVE
+        code = max(code, _outcome(diff.truncated, not diff.equal))
     cert_path.write_text("\n".join(lines) + "\n")
     if args.json:
         for line in lines:
@@ -338,25 +328,21 @@ def cmd_verify(args) -> int:
             )
             witnesses.append(dump("qa-diff", body))
         truncated = term.truncated or conf.truncated or diff.truncated
-        if truncated:
-            code = max(code, EXIT_TRUNCATED)
-        if not diff.equal:
-            code = EXIT_NEGATIVE
+        code = max(code, _outcome(truncated, not diff.equal))
         rows.append((text, term.status, conf.status, qa_equal, witnesses))
-        if args.json:
-            _emit(
-                args,
-                {
-                    "cmd": "verify",
-                    "goal": text,
-                    "termination": term.status,
-                    "confluence": conf.status,
-                    "qa_equal": diff.equal,
-                    "truncated": truncated,
-                    "witnesses": witnesses,
-                },
-                "",
-            )
+        _emit(
+            args,
+            {
+                "cmd": "verify",
+                "goal": text,
+                "termination": term.status,
+                "confluence": conf.status,
+                "qa_equal": diff.equal,
+                "truncated": truncated,
+                "witnesses": witnesses,
+            },
+            "",
+        )
     if not args.json:
         width = max(len("goal"), *(len(r[0]) for r in rows))
         print(f"{'goal':<{width}}  termination  confluence     qa-equal")
@@ -380,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, goals=False):
+    def command(name, func, help, goals=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("program", help="path to a .chr file")
         p.add_argument("--json", action="store_true",
                        help="emit JSON lines instead of text")
@@ -392,18 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--goal", action="append",
                            help="inline goal (repeatable)")
             p.add_argument("--goals", help="file with one goal per line")
+        return p
 
-    p = sub.add_parser("parse", help="parse and reprint a program")
-    common(p)
-    p.set_defaults(func=cmd_parse)
+    command("parse", cmd_parse, "parse and reprint a program")
+    command("annotate", cmd_annotate, "number body atoms and attach "
+            "empty token stores")
 
-    p = sub.add_parser("annotate", help="number body atoms and attach "
-                       "empty token stores")
-    common(p)
-    p.set_defaults(func=cmd_annotate)
-
-    p = sub.add_parser("run", help="print the answers for each goal")
-    common(p, goals=True)
+    p = command("run", cmd_run, "print the answers for each goal", goals=True)
     p.add_argument(
         "--semantics",
         default="annotated",
@@ -411,29 +394,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="standard (two-store) or annotated (fused store); "
         "wt and wt-prime are accepted as aliases",
     )
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("unfold", help="list unfolded versions of a rule")
-    common(p)
+    p = command("unfold", cmd_unfold, "list unfolded versions of a rule")
     p.add_argument("--rule", required=True, help="name of the rule to unfold")
     p.add_argument("--with", dest="source", help="only use this source rule")
     p.add_argument("--at", help="only this body id sequence, e.g. 1,2")
     p.add_argument("--all", action="store_true",
                    help="print the deduplicated unfold set")
-    p.set_defaults(func=cmd_unfold)
 
-    p = sub.add_parser("check-replace",
-                       help="can the rule be replaced by its unfoldings?")
-    common(p)
+    p = command("check-replace", cmd_check_replace,
+                "can the rule be replaced by its unfoldings?")
     p.add_argument("--rule", required=True)
     p.add_argument("--weak", action="store_true",
                    help="use the weaker guard-equivalence criterion")
-    p.set_defaults(func=cmd_check_replace)
 
-    p = sub.add_parser("transform",
-                       help="replace rules by their unfoldings and certify "
-                       "answers on a goal suite")
-    common(p, goals=True)
+    p = command("transform", cmd_transform,
+                "replace rules by their unfoldings and certify "
+                "answers on a goal suite", goals=True)
     p.add_argument("--seed", type=int, default=0,
                    help="seed recorded in the certificate")
     p.add_argument("--sequence", required=True,
@@ -441,15 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weak", action="store_true")
     p.add_argument("--out", help="output .chr path")
     p.add_argument("--cert", help="certificate path (JSON lines)")
-    p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("verify",
-                       help="per-goal bounded termination, confluence and "
-                       "semantics agreement table")
-    common(p, goals=True)
+    p = command("verify", cmd_verify,
+                "per-goal bounded termination, confluence and "
+                "semantics agreement table", goals=True)
     p.add_argument("--witness-dir", default="witnesses",
                    help="where counterexample traces are written")
-    p.set_defaults(func=cmd_verify)
 
     return top
 
@@ -461,9 +435,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"chrkit: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (RecursionError, ValueError) as exc:
-        # a library limit (say, a term nested deeper than the recursion
-        # limit) ends the command with a message, not a traceback
+    except (OSError, RecursionError, ValueError) as exc:
+        # a failed write or a library limit (say, a term nested deeper
+        # than the recursion limit) ends the command with a message, not
+        # a traceback
         message = " ".join(str(exc).split())
         print(f"chrkit: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_ERROR

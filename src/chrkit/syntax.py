@@ -369,8 +369,6 @@ class _Parser:
         )
         try:
             return Program(tuple(rules), annotated=annotated).validate()
-        except ParseError:
-            raise
         except ValueError as exc:
             raise ParseError(str(exc), self.sc.text, len(self.sc.text)) from exc
 

@@ -220,6 +220,43 @@ def test_transform_weak_flags_answer_changes(tmp_path, capsys):
     assert "answers changed" in err
 
 
+def test_transform_reports_a_budget_hit_with_exit_3(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "transform", fx("chain"), "--sequence", "r", "--goal", "p(X)",
+        "--max-states", "1", "--json",
+        "--out", str(tmp_path / "c.chr"), "--cert", str(tmp_path / "c.cert.jsonl"),
+    )
+    assert code == 3
+    _, record = json_lines(out)
+    assert record["truncated"] is True and record["equal"] is True
+
+
+@pytest.mark.parametrize("flag", ["--out", "--cert"])
+def test_transform_into_a_missing_directory_exits_1(tmp_path, capsys, flag):
+    code, _, err = run_cli(
+        capsys, "transform", fx("chain"), "--sequence", "r", "--goal", "p(X)",
+        "--out", str(tmp_path / "c.chr"), "--cert", str(tmp_path / "c.cert.jsonl"),
+        flag, str(tmp_path / "missing" / "x"),
+    )
+    assert code == 1
+    assert err.startswith("chrkit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_verify_with_a_witness_dir_under_a_file_exits_1(tmp_path, capsys):
+    prog = tmp_path / "loop.chr"
+    prog.write_text("r @ p(X) <=> p(X).\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    code, _, err = run_cli(
+        capsys, "verify", str(prog), "--goal", "p(a)",
+        "--witness-dir", str(blocker / "w"),
+    )
+    assert code == 1
+    assert err.startswith("chrkit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_table_and_exit(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "verify", fx("solve_order_loop"),

@@ -1,6 +1,8 @@
 """The command line surface, byte for byte: the ``parse`` and ``annotate``
-records on a plain and an annotated program, the ``--help`` text of
-``chrkit`` and of each subcommand, and one usage error per subcommand.
+records on a plain and an annotated program, the ``run``, ``unfold`` and
+``check-replace`` outputs and exit codes on a few programs, the ``--help``
+text of ``chrkit`` and of each subcommand, and one usage error per
+subcommand.
 
 The expected stdout, stderr and exit code of every case are in
 tests/fixtures/cli_surface.json. After an intended change of the surface,
@@ -37,7 +39,9 @@ r3 @ p(X), q(Y) <=> X=Y | q(X)#1, p(Y)#2 ; {r1@2, r3@1,2}.
 
 SUBCOMMANDS = ("parse", "annotate", "run", "unfold", "check-replace", "transform", "verify")
 
-# "{plain}" and "{annotated}" stand for the two program files
+RUN_TWO_GOALS = ["{plain}", "--goal", "p(X)", "--goal", "X=a, p(X)", "--max-depth", "1"]
+
+# "{plain}", "{annotated}" and "{matching}" stand for the program files
 CASES = {
     **{
         f"{cmd} --json {kind}": [cmd, "--json", f"{{{kind}}}"]
@@ -49,6 +53,22 @@ CASES = {
         for cmd in ("parse", "annotate")
         for kind in ("plain", "annotated")
     },
+    # two goal headers; the second goal hits the budget (exit 3)
+    "run plain two goals": ["run", *RUN_TWO_GOALS],
+    "run --json plain two goals": ["run", "--json", *RUN_TWO_GOALS],
+    # two partial-head hazards (exit 4)
+    "check-replace annotated r3": ["check-replace", "{annotated}", "--rule", "r3"],
+    "check-replace --json annotated r3":
+        ["check-replace", "--json", "{annotated}", "--rule", "r3"],
+    # one unify-only hazard
+    "check-replace matching r1": ["check-replace", "{matching}", "--rule", "r1"],
+    "check-replace --json matching r1":
+        ["check-replace", "--json", "{matching}", "--rule", "r1"],
+    "unfold annotated r1": ["unfold", "{annotated}", "--rule", "r1"],
+    "unfold --json annotated r1": ["unfold", "--json", "{annotated}", "--rule", "r1"],
+    "unfold --all annotated r1": ["unfold", "{annotated}", "--rule", "r1", "--all"],
+    "unfold --all --json annotated r1":
+        ["unfold", "--json", "{annotated}", "--rule", "r1", "--all"],
     "chrkit --help": ["--help"],
     **{f"{cmd} --help": [cmd, "--help"] for cmd in SUBCOMMANDS},
     "usage: no command": [],
@@ -78,7 +98,11 @@ def invoke(argv, paths):
 def program_paths(directory: Path) -> dict:
     annotated = directory / "annotated.chr"
     annotated.write_text(ANNOTATED)
-    return {"plain": str(FIXTURES / "mau.chr"), "annotated": str(annotated)}
+    return {
+        "plain": str(FIXTURES / "mau.chr"),
+        "annotated": str(annotated),
+        "matching": str(FIXTURES / "matching.chr"),
+    }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

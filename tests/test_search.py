@@ -153,6 +153,18 @@ def test_lockstep_head_equations_skip_the_solver_queue():
     assert report.solve_count == 0
 
 
+def test_lockstep_counts_a_branch_failing_on_both_sides_as_final():
+    # r's body X = a clashes with the goal's Y = b, so both readings fail
+    # on that branch at once; the branch through s ends normally
+    report = lockstep_run(
+        parse_program("r @ p(X) <=> X = a, q(X). s @ p(X) <=> X = b. t @ q(b) <=> true."),
+        parse_goal("p(Y), Y = b"),
+    )
+    assert report.aligned and not report.truncated
+    assert (report.nodes, report.finals) == (3, 2)
+    assert (report.solve_count, report.apply_count) == (3, 2)
+
+
 def test_a_branch_ending_at_the_apply_budget_is_not_truncated():
     # p(a) fires r once and q(a) is terminal: the branch ends exactly at
     # max_applies=1, so every search is exhaustive

@@ -97,7 +97,7 @@ def check_normal_termination(
         cfg, _ = annotated.drain(cfg)
         if cfg.failed:
             continue
-        view = _live_view(annotated.chr_atoms(cfg), cfg.builtins, cfg.tokens, goal_vars)
+        view = _live_view(cfg.atoms, cfg.builtins, cfg.tokens, goal_vars)
         first = _first(history, view, goal_vars)
         if first is not None:
             return TerminationReport(
@@ -183,14 +183,12 @@ def probe_solve_orders(
             walk.truncated = True
             continue
         children = []
-        for i in annotated.solve_indices(cfg):
-            label = ("solve", print_item(cfg.store[i]))
+        for i, item in enumerate(cfg.pending):
+            label = ("solve", print_item(item))
             children.append((annotated.solve_at(cfg, i), history, applies, trace + (label,)))
         for firing, child in annotated.successors(program, cfg, fresh):
             label = ("apply", firing.rule.name, firing.idents)
-            view = _live_view(
-                annotated.chr_atoms(child), child.builtins, child.tokens, goal_vars
-            )
+            view = _live_view(child.atoms, child.builtins, child.tokens, goal_vars)
             first = _first(history, view, goal_vars)
             if first is not None:
                 return ProbeReport(

@@ -296,44 +296,26 @@ def configs_correspond(std, fused) -> bool:
     """Does a two-store configuration and a fused-store configuration
     describe the same computation point?
 
-    The fused store must contain, for each not-yet-introduced user constraint
-    of the goal (left to right), the same atom pre-stamped with the exact
-    identifier the two-store side is about to hand out, untouched by any
-    token; the remaining fused atoms must be the introduced store, identifier
-    for identifier, under the same token store. Both readings hand out the
-    same identifiers by construction: the goal's atoms are 1..n and a fired
-    body's atoms follow the counter in body order. Pending built-ins and the
-    built-in stores must agree, and the counters coincide once the pending
-    introductions are accounted for.
+    The two-store side stands for the fused atoms of its store plus each
+    goal constraint, left to right, pre-stamped with the identifier it is
+    about to get: both readings hand out the same identifiers by
+    construction, as the goal's atoms are 1..n and a fired body's atoms
+    follow the counter in body order. The counters must then coincide, and
+    the pending built-ins, the atoms, the cleaned token stores and the
+    built-in stores agree. A token on a pending atom names an identifier
+    from the counter on, which the two-store cleaning drops, so equal
+    tokens leave the pending atoms untouched.
     """
-    goal_atoms = [g for g in std.goal if isinstance(g, Compound)]
-    goal_builtins = [g for g in std.goal if isinstance(g, (Equation, FalseConstraint))]
-    fused_atoms = [x for x in fused.store if isinstance(x, IdAtom)]
-    fused_pending = [x for x in fused.store if not isinstance(x, IdAtom)]
-    # tokens whose atoms are gone can never fire and carry no information
-    std_tokens = clean_tokens(std.tokens, std.store)
-    fused_tokens = clean_tokens(fused.tokens, fused_atoms)
-    if std.counter + len(goal_atoms) != fused.counter + 1:
-        return False
-    if not _multiset_equal(goal_builtins, fused_pending):
-        return False
-    if not stores_equivalent(std.builtins, fused.builtins):
-        return False
-    if len(fused_atoms) != len(goal_atoms) + len(std.store):
-        return False
-    by_id = {a.ident: a for a in fused_atoms}
-    k1_ids = set()
-    for j, atom in enumerate(goal_atoms):
-        ia = by_id.get(std.counter + j)
+    stamped = tuple(IdAtom(a, std.counter + j) for j, a in enumerate(std.goal))
+    return (
+        std.counter + len(std.goal) == fused.counter + 1
+        and _multiset_equal(std.pending, fused.pending)
         # atoms are compared as printed text: term equality recurses over depth
-        if ia is None or print_item(ia.atom) != print_item(atom):
-            return False
-        k1_ids.add(ia.ident)
-    token_ids = {i for t in fused_tokens for i in t.idents}
-    if k1_ids & token_ids:
-        return False
-    introduced = [a for a in fused_atoms if a.ident not in k1_ids]
-    return _multiset_equal(introduced, std.store) and std_tokens == fused_tokens
+        and _multiset_equal(std.store + stamped, fused.atoms)
+        # tokens whose atoms are gone can never fire and carry no information
+        and clean_tokens(std.tokens, std.store) == clean_tokens(fused.tokens, fused.atoms)
+        and stores_equivalent(std.builtins, fused.builtins)
+    )
 
 
 def _rule_items(rule, flipped: bool) -> list:

@@ -1,10 +1,13 @@
 """The fused-store operational reading for annotated programs.
 
 Goal and user-constraint store live in one structure whose atoms are
-identified up front, so there is no introduce transition. The body of an
-annotated rule carries its own identifiers and a local token store; when a
-rule fires these are shifted past the configuration's counter, which then
-advances to the greatest identifier just brought in.
+identified up front, so there is no introduce transition. A configuration
+keeps those atoms apart from the pending built-ins, each leftmost first;
+solve moves the leftmost pending built-in into the built-in store. The body
+of an annotated rule carries its own identifiers and a local token store;
+when a rule fires these are shifted past the configuration's counter, which
+then advances to the greatest identifier just brought in. The body's atoms
+go before the surviving ones and its built-ins before the old pending ones.
 """
 
 from __future__ import annotations
@@ -13,14 +16,15 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..constraints import TRUE, Store, conjoin
-from ..syntax import IdAtom, identify_atoms
-from ..terms import Equation, FalseConstraint, FreshSupply
+from ..syntax import IdAtom, identify_atoms, split_builtins
+from ..terms import FreshSupply
 from .matching import Firing, enumerate_firings
 
 
 @dataclass(frozen=True)
 class Config:
-    store: tuple
+    atoms: tuple
+    pending: tuple
     builtins: Store
     tokens: frozenset
     counter: int
@@ -32,7 +36,7 @@ class Config:
 
 def initial(goal) -> Config:
     items, last = identify_atoms(goal, 0)
-    return Config(items, TRUE, frozenset(), last)
+    return Config(*split_builtins(items), TRUE, frozenset(), last)
 
 
 def shift_identifiers(body, tokens, offset: int):
@@ -46,51 +50,36 @@ def shift_identifiers(body, tokens, offset: int):
 
 
 def solve_at(cfg: Config, i: int) -> Config:
-    item = cfg.store[i]
-    if not isinstance(item, (Equation, FalseConstraint)):
-        raise ValueError("not a pending built-in")
-    rest = cfg.store[:i] + cfg.store[i + 1:]
-    return Config(rest, conjoin(cfg.builtins, [item]), cfg.tokens, cfg.counter)
-
-
-def solve_indices(cfg: Config) -> list:
-    return [
-        i
-        for i, item in enumerate(cfg.store)
-        if isinstance(item, (Equation, FalseConstraint))
-    ]
+    """Solve the pending built-in at position ``i``."""
+    rest = cfg.pending[:i] + cfg.pending[i + 1:]
+    builtins = conjoin(cfg.builtins, [cfg.pending[i]])
+    return Config(cfg.atoms, rest, builtins, cfg.tokens, cfg.counter)
 
 
 def solve_step(cfg: Config) -> Optional[Config]:
-    idx = solve_indices(cfg)
-    if not idx:
-        return None
-    return solve_at(cfg, idx[0])
+    return solve_at(cfg, 0) if cfg.pending else None
 
 
 def apply_firing(cfg: Config, firing: Firing) -> Config:
     body, local_tokens = shift_identifiers(
         firing.rule.body, firing.rule.tokens, cfg.counter
     )
-    new_ids = [b.ident for b in body if isinstance(b, IdAtom)]
-    top = max(new_ids) if new_ids else cfg.counter
+    atoms, pending = split_builtins(body)
+    top = max((a.ident for a in atoms), default=cfg.counter)
     removed_ids = {a.ident for a in firing.removed}
-    store = body + tuple(
-        x
-        for x in cfg.store
-        if not (isinstance(x, IdAtom) and x.ident in removed_ids)
-    )
+    atoms += tuple(a for a in cfg.atoms if a.ident not in removed_ids)
     tokens = cfg.tokens | local_tokens
     if not firing.removed:
         tokens = tokens | {firing.token}
-    return Config(store, conjoin(cfg.builtins, firing.head_eqs), tokens, top)
+    return Config(
+        atoms, pending + cfg.pending, conjoin(cfg.builtins, firing.head_eqs), tokens, top
+    )
 
 
 def successors(program, cfg: Config, fresh: FreshSupply = None) -> List[Tuple[Firing, Config]]:
     if cfg.failed:
         return []
-    atoms = chr_atoms(cfg)
-    firings = enumerate_firings(program, atoms, cfg.builtins, cfg.tokens, fresh)
+    firings = enumerate_firings(program, cfg.atoms, cfg.builtins, cfg.tokens, fresh)
     return [(f, apply_firing(cfg, f)) for f in firings]
 
 
@@ -106,5 +95,4 @@ def drain(cfg: Config):
 
 
 def chr_atoms(cfg: Config) -> tuple:
-    return tuple(x for x in cfg.store if isinstance(x, IdAtom))
-
+    return cfg.atoms

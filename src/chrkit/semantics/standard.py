@@ -1,16 +1,19 @@
 """The reference operational reading: goal and store are separate.
 
-A configuration holds the pending goal, the identified user-constraint
-store, the built-in store, the token store for propagation control, and the
-counter handing out the next atom identifier. Three transitions:
+A configuration holds the goal's user constraints not yet introduced and
+its built-ins not yet solved, each leftmost first, the identified
+user-constraint store, the built-in store, the token store for propagation
+control, and the counter handing out the next atom identifier. Three
+transitions:
 
 * solve: move the leftmost pending built-in into the built-in store;
-* introduce: move the leftmost pending user constraint into the store,
-  stamping it with the counter;
+* introduce: move the leftmost goal constraint into the store, stamping it
+  with the counter;
 * apply: react a rule instance with store atoms (see matching.Firing); the
-  rule body becomes the new goal prefix, matched removed atoms leave the
-  store, the argument equations are added to the built-in store, and for
-  rules that remove nothing a token is recorded. The counter is unchanged.
+  rule body's constraints go before the goal's and its built-ins before
+  the pending ones, matched removed atoms leave the store, the argument
+  equations are added to the built-in store, and for rules that remove
+  nothing a token is recorded. The counter is unchanged.
 """
 
 from __future__ import annotations
@@ -19,14 +22,15 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..constraints import TRUE, Store, conjoin
-from ..syntax import Compound, IdAtom
-from ..terms import Equation, FalseConstraint, FreshSupply
+from ..syntax import IdAtom, split_builtins
+from ..terms import FreshSupply
 from .matching import Firing, enumerate_firings
 
 
 @dataclass(frozen=True)
 class Config:
     goal: tuple
+    pending: tuple
     store: tuple
     builtins: Store
     tokens: frozenset
@@ -38,40 +42,33 @@ class Config:
 
 
 def initial(goal) -> Config:
-    return Config(tuple(goal), (), TRUE, frozenset(), 1)
+    return Config(*split_builtins(goal), (), TRUE, frozenset(), 1)
 
 
 def solve_step(cfg: Config) -> Optional[Config]:
-    for i, item in enumerate(cfg.goal):
-        if isinstance(item, (Equation, FalseConstraint)):
-            rest = cfg.goal[:i] + cfg.goal[i + 1:]
-            return Config(
-                rest, cfg.store, conjoin(cfg.builtins, [item]), cfg.tokens, cfg.counter
-            )
-    return None
+    if not cfg.pending:
+        return None
+    builtins = conjoin(cfg.builtins, cfg.pending[:1])
+    return Config(cfg.goal, cfg.pending[1:], cfg.store, builtins, cfg.tokens, cfg.counter)
 
 
 def introduce_step(cfg: Config) -> Optional[Config]:
-    for i, item in enumerate(cfg.goal):
-        if isinstance(item, Compound):
-            rest = cfg.goal[:i] + cfg.goal[i + 1:]
-            stamped = IdAtom(item, cfg.counter)
-            return Config(
-                rest,
-                cfg.store + (stamped,),
-                cfg.builtins,
-                cfg.tokens,
-                cfg.counter + 1,
-            )
-    return None
+    if not cfg.goal:
+        return None
+    store = cfg.store + (IdAtom(cfg.goal[0], cfg.counter),)
+    return Config(
+        cfg.goal[1:], cfg.pending, store, cfg.builtins, cfg.tokens, cfg.counter + 1
+    )
 
 
 def apply_firing(cfg: Config, firing: Firing) -> Config:
     removed_ids = {a.ident for a in firing.removed}
     store = tuple(a for a in cfg.store if a.ident not in removed_ids)
     tokens = cfg.tokens | {firing.token} if not firing.removed else cfg.tokens
+    goal, pending = split_builtins(firing.rule.body)
     return Config(
-        firing.rule.body + cfg.goal,
+        goal + cfg.goal,
+        pending + cfg.pending,
         store,
         conjoin(cfg.builtins, firing.head_eqs),
         tokens,

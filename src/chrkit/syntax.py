@@ -133,6 +133,15 @@ def clean_tokens(tokens: Iterable, live) -> frozenset:
     return frozenset(t for t in tokens if set(t.idents) <= alive)
 
 
+def split_builtins(items: Iterable):
+    """A goal or a rule body split into its user constraints and its
+    built-ins, each in their order."""
+    atoms, builtins = [], []
+    for it in items:
+        (builtins if isinstance(it, (Equation, FalseConstraint)) else atoms).append(it)
+    return tuple(atoms), tuple(builtins)
+
+
 def identify_atoms(items: Sequence, start: int = 0):
     """Number the user-defined atoms left to right with start+1, start+2, ...
 

@@ -1,7 +1,5 @@
 """Fused-store transition system: pre-identified goals, shifted rule bodies."""
 
-import pytest
-
 from chrkit.semantics import annotated as ann
 from chrkit.syntax import IdAtom, Token, annotate, parse_goal, parse_program
 from chrkit.terms import Compound, Equation, Var, const
@@ -12,7 +10,7 @@ from conftest import load
 
 def test_initial_identifies_goal_atoms_left_to_right():
     cfg = ann.initial(parse_goal("p(X), X=a, q"))
-    assert [x.ident for x in cfg.store if isinstance(x, IdAtom)] == [1, 2]
+    assert [x.ident for x in cfg.atoms] == [1, 2]
     assert cfg.counter == 2  # two user constraints in the goal
 
 
@@ -39,12 +37,10 @@ def test_shift_identifiers_single_atom():
 
 def test_solve_at_any_position():
     cfg = ann.initial(parse_goal("X=a, p(X), Y=b"))
-    assert ann.solve_indices(cfg) == [0, 2]
-    nxt = ann.solve_at(cfg, 2)
+    assert len(cfg.pending) == 2
+    nxt = ann.solve_at(cfg, 1)
     assert nxt.builtins.equations == (Equation(Var("Y"), const("b")),)
-    assert ann.solve_indices(nxt) == [0]
-    with pytest.raises(ValueError):
-        ann.solve_at(cfg, 1)
+    assert nxt.pending == cfg.pending[:1]
 
 
 def test_apply_advances_counter_to_greatest_new_identifier():
@@ -64,7 +60,7 @@ def test_apply_with_builtin_only_body_keeps_counter():
     [(_, nxt)] = ann.successors(program, cfg)
     assert nxt.counter == cfg.counter == 1
     assert ann.chr_atoms(nxt) == ()
-    assert ann.solve_indices(nxt) == [0]
+    assert len(nxt.pending) == 1
 
 
 def test_apply_keeps_kept_atoms_and_removes_removed():
@@ -103,7 +99,7 @@ def test_drain_solves_all_pending_builtins():
 
 
 def test_firings_match_brute_force_head_assignment_oracle():
-    program = load("gen_adam")
+    program = annotate(load("gen_adam"))
     goal = parse_goal("f(adam, seth), f(seth, enosh), f(enosh, kenan), g(adam, seth)")
     cfg = ann.initial(goal)
     atoms = ann.chr_atoms(cfg)

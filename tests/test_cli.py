@@ -449,6 +449,32 @@ def test_an_unfolding_skips_the_target_rules_variable_names(tmp_path, capsys):
     assert record["answers_after"] == record["answers_before"] == ["t(a,_L1)"]
 
 
+def test_an_ambiguous_rule_name_exits_1(tmp_path, capsys):
+    # a weak transform keeps every unfolded version of r1 under its name
+    out_path = tmp_path / "out.chr"
+    code, _, _ = run_cli(
+        capsys, "transform", fx("gen_adam"), "--sequence", "r1", "--weak",
+        "--goal", "f(a,b)", "--out", str(out_path),
+        "--cert", str(tmp_path / "out.cert"),
+    )
+    assert code == 0
+    code, out, err = run_cli(capsys, "check-replace", str(out_path), "--rule", "r1")
+    assert (code, out, err) == (1, "", "chrkit: rule name 'r1' is ambiguous\n")
+
+
+def test_malformed_id_and_rule_lists_exit_1(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "unfold", fx("mau"), "--rule", "r", "--at", "1,x")
+    assert (code, out) == (1, "")
+    assert err == "chrkit: --at wants a comma separated id list, got '1,x'\n"
+    code, out, err = run_cli(
+        capsys, "transform", fx("mau"), "--sequence", " , ", "--goal", "p(X)",
+        "--out", str(tmp_path / "out.chr"),
+    )
+    assert (code, out) == (1, "")
+    assert err == "chrkit: --sequence wants a comma separated list of rule names\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_library_errors_become_one_line_messages(monkeypatch, capsys):
     def broken(args):
         raise ValueError("first line\nsecond line")

@@ -1,19 +1,32 @@
 """State, configuration, and rule comparison modulo renaming."""
 
 from dataclasses import replace
+from unittest import mock
 
-from chrkit.constraints import FAILED, TRUE, conjoin
+from hypothesis import given, settings
+
+from chrkit.constraints import FAILED, TRUE, conjoin, stores_equivalent
 from chrkit.equivalence import (
     configs_correspond,
     rules_isomorphic,
     states_equivalent_mod,
 )
 from chrkit.semantics import annotated as ann
+from chrkit.semantics import search
 from chrkit.semantics import standard as std
-from chrkit.syntax import IdAtom, Token, annotate, parse_goal, parse_program
-from chrkit.terms import Compound, Equation, Var, const
+from chrkit.syntax import (
+    IdAtom,
+    Token,
+    annotate,
+    clean_tokens,
+    parse_goal,
+    parse_program,
+    print_item,
+)
+from chrkit.terms import Compound, Equation, FalseConstraint, Var, const
 
 from conftest import load
+from test_search import programs_and_goals
 
 
 def atom(text, ident):
@@ -180,6 +193,181 @@ def test_correspondence_checks_counter_arithmetic():
     s = std.initial(goal)
     f = ann.initial(goal)
     assert not configs_correspond(s, replace(f, counter=f.counter + 1))
+
+
+# ------------------------------------ one broken rule per correspondence
+
+
+def initial_pair(text):
+    goal = parse_goal(text)
+    return std.initial(goal), ann.initial(goal)
+
+
+def drained_pair(text):
+    s, f = initial_pair(text)
+    return std.drain(s)[0], ann.drain(f)[0]
+
+
+GOAL = "p(a), X=b, q(X)"
+
+
+def test_initial_and_drained_pairs_correspond():
+    assert configs_correspond(*initial_pair(GOAL))
+    assert configs_correspond(*drained_pair(GOAL))
+    # the same live token on both sides keeps them together
+    s, f = drained_pair("k")
+    live = frozenset({Token("r2", (1,))})
+    assert configs_correspond(replace(s, tokens=live), replace(f, tokens=live))
+
+
+def test_correspondence_checks_the_counter():
+    s, f = drained_pair(GOAL)
+    assert not configs_correspond(s, replace(f, counter=f.counter + 1))
+    assert not configs_correspond(replace(s, counter=s.counter - 1), f)
+
+
+def test_correspondence_checks_the_pending_builtins():
+    s = std.initial(parse_goal("p(a), X=b"))
+    f = ann.initial(parse_goal("p(a), X=c"))
+    assert not configs_correspond(s, f)
+
+
+def test_correspondence_checks_the_atom_texts():
+    s = std.initial(parse_goal("p(a), X=b"))
+    f = ann.initial(parse_goal("p(b), X=b"))
+    assert not configs_correspond(s, f)
+    s, f = drained_pair(GOAL)
+    assert not configs_correspond(replace(s, store=(atom("p(b)", 1), s.store[1])), f)
+
+
+def test_correspondence_checks_the_goal_atom_identifiers():
+    # raising both counters keeps their arithmetic but stamps the goal
+    # atoms one past the fused identifiers
+    s, f = initial_pair(GOAL)
+    assert not configs_correspond(
+        replace(s, counter=s.counter + 1), replace(f, counter=f.counter + 1)
+    )
+
+
+def test_correspondence_rejects_an_extra_introduced_atom():
+    s, f = drained_pair(GOAL)
+    assert not configs_correspond(replace(s, store=s.store + (atom("r", 9),)), f)
+
+
+def test_correspondence_rejects_a_token_over_a_pending_atom():
+    s, f = initial_pair("k")
+    over = frozenset({Token("r2", (1,))})
+    assert not configs_correspond(replace(s, tokens=over), replace(f, tokens=over))
+
+
+def test_correspondence_rejects_a_token_on_one_side_only():
+    s, f = drained_pair("k")
+    live = frozenset({Token("r2", (1,))})
+    assert not configs_correspond(s, replace(f, tokens=live))
+    assert not configs_correspond(replace(s, tokens=live), f)
+
+
+def test_correspondence_rejects_a_stronger_builtin_store():
+    s, f = drained_pair(GOAL)
+    stronger = conjoin(f.builtins, [Equation(Var("Y"), const("a"))])
+    assert not configs_correspond(s, replace(f, builtins=stronger))
+    assert not configs_correspond(replace(s, builtins=stronger), f)
+
+
+# ------------------------------------- against the mixed-tuple reference
+
+
+def _multiset_equal(xs, ys) -> bool:
+    return sorted(map(print_item, xs)) == sorted(map(print_item, ys))
+
+
+def reference_configs_correspond(std, fused) -> bool:
+    """The check over configurations that kept atoms and built-ins in one
+    tuple, kept verbatim but for the two lines that rebuild those tuples."""
+    std_goal = std.goal + std.pending
+    fused_store = fused.atoms + fused.pending
+    goal_atoms = [g for g in std_goal if isinstance(g, Compound)]
+    goal_builtins = [g for g in std_goal if isinstance(g, (Equation, FalseConstraint))]
+    fused_atoms = [x for x in fused_store if isinstance(x, IdAtom)]
+    fused_pending = [x for x in fused_store if not isinstance(x, IdAtom)]
+    # tokens whose atoms are gone can never fire and carry no information
+    std_tokens = clean_tokens(std.tokens, std.store)
+    fused_tokens = clean_tokens(fused.tokens, fused_atoms)
+    if std.counter + len(goal_atoms) != fused.counter + 1:
+        return False
+    if not _multiset_equal(goal_builtins, fused_pending):
+        return False
+    if not stores_equivalent(std.builtins, fused.builtins):
+        return False
+    if len(fused_atoms) != len(goal_atoms) + len(std.store):
+        return False
+    by_id = {a.ident: a for a in fused_atoms}
+    k1_ids = set()
+    for j, atom in enumerate(goal_atoms):
+        ia = by_id.get(std.counter + j)
+        # atoms are compared as printed text: term equality recurses over depth
+        if ia is None or print_item(ia.atom) != print_item(atom):
+            return False
+        k1_ids.add(ia.ident)
+    token_ids = {i for t in fused_tokens for i in t.idents}
+    if k1_ids & token_ids:
+        return False
+    introduced = [a for a in fused_atoms if a.ident not in k1_ids]
+    return _multiset_equal(introduced, std.store) and std_tokens == fused_tokens
+
+
+def lockstep_pairs(program, goal):
+    """Every pair of configurations a short lockstep run compares."""
+    pairs = []
+
+    def record(cs, ca):
+        pairs.append((cs, ca))
+        return True
+
+    with mock.patch.object(search, "configs_correspond", record):
+        search.lockstep_run(program, goal, max_applies=3, max_states=30)
+    return pairs
+
+
+H = Compound("h", ())
+X_IS_A = Equation(Var("X"), const("a"))
+
+
+def _atoms_field(cfg):
+    return "store" if isinstance(cfg, std.Config) else "atoms"
+
+
+def perturbations(cfg):
+    """Copies of the configuration with one field changed."""
+    atoms = getattr(cfg, _atoms_field(cfg))
+    changes = [
+        ("counter", cfg.counter + 1),
+        ("counter", cfg.counter - 1),
+        ("pending", cfg.pending[1:]),
+        ("pending", cfg.pending + (X_IS_A,)),
+        ("pending", cfg.pending + (FalseConstraint(),)),
+        (_atoms_field(cfg), atoms[1:]),
+        (_atoms_field(cfg), atoms + (IdAtom(H, cfg.counter),)),
+        (_atoms_field(cfg), tuple(IdAtom(a.atom, a.ident + 1) for a in atoms)),
+        ("tokens", frozenset()),
+        ("tokens", cfg.tokens | {Token("r0", (cfg.counter,))}),
+        ("tokens", cfg.tokens | {Token("r0", tuple(a.ident for a in atoms[:2]))}),
+        ("builtins", conjoin(cfg.builtins, [X_IS_A])),
+    ]
+    if isinstance(cfg, std.Config):
+        changes += [("goal", cfg.goal[1:]), ("goal", cfg.goal + (H,))]
+    return [replace(cfg, **{field: value}) for field, value in changes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs_and_goals())
+def test_correspondence_agrees_with_the_mixed_tuple_reference(case):
+    program, goal = case
+    for cs, ca in lockstep_pairs(program, goal):
+        cases = [(cs, ca)] + [(p, ca) for p in perturbations(cs)]
+        cases += [(cs, p) for p in perturbations(ca)]
+        for s, f in cases:
+            assert configs_correspond(s, f) == reference_configs_correspond(s, f)
 
 
 # ----------------------------------------------------------------- rules

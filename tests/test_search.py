@@ -1,9 +1,13 @@
 """Derivation search, answer rendering, and the two-semantics lockstep."""
 
+from dataclasses import replace
+
 from hypothesis import example, given, settings, strategies as st
 
 from chrkit import equivalence
 from chrkit.analysis import check_normal_termination, probe_solve_orders
+from chrkit.constraints import FAILED
+from chrkit.semantics import annotated, search, standard
 from chrkit.semantics.search import (
     AnswerSet,
     StateIndex,
@@ -163,6 +167,58 @@ def test_lockstep_counts_a_branch_failing_on_both_sides_as_final():
     assert report.aligned and not report.truncated
     assert (report.nodes, report.finals) == (3, 2)
     assert (report.solve_count, report.apply_count) == (3, 2)
+
+
+def _wrap_drain(monkeypatch, module, change):
+    drain = module.drain
+    monkeypatch.setattr(module, "drain", lambda cfg: change(*drain(cfg)))
+
+
+def test_lockstep_reports_states_diverging_on_entry(monkeypatch):
+    monkeypatch.setattr(search, "configs_correspond", lambda cs, ca: False)
+    report = lockstep_run(load("mau"), parse_goal("p(X)"))
+    assert not report.aligned
+    assert report.mismatch == "states diverged entering node 1"
+    assert report.nodes == 1
+
+
+def test_lockstep_reports_different_solve_counts(monkeypatch):
+    _wrap_drain(monkeypatch, annotated, lambda cfg, n: (cfg, n + 1))
+    report = lockstep_run(load("mau"), parse_goal("X=a, p(X)"))
+    assert not report.aligned
+    assert report.mismatch == "solve counts differ at node 1: 1 vs 2"
+    assert report.nodes == 1
+
+
+def test_lockstep_reports_one_side_failing(monkeypatch):
+    _wrap_drain(monkeypatch, standard, lambda c, n: (replace(c, builtins=FAILED), n))
+    report = lockstep_run(load("mau"), parse_goal("p(X)"))
+    assert not report.aligned
+    assert report.mismatch == "only one side failed at node 1"
+    assert report.nodes == 1
+
+
+def test_lockstep_reports_states_diverging_after_the_drain(monkeypatch):
+    # the drained two-store side has one identifier too many handed out
+    _wrap_drain(monkeypatch, standard, lambda c, n: (replace(c, counter=c.counter + 1), n))
+    report = lockstep_run(load("mau"), parse_goal("p(X)"))
+    assert not report.aligned
+    assert report.mismatch == "states diverged after draining node 1"
+    assert report.nodes == 1
+
+
+def test_lockstep_reports_different_firings(monkeypatch):
+    # from the second node on the fused side finds no firing
+    successors = annotated.successors
+
+    def first_node_only(program, cfg, fresh=None):
+        return successors(program, cfg, fresh) if cfg.counter < 2 else []
+
+    monkeypatch.setattr(annotated, "successors", first_node_only)
+    report = lockstep_run(load("mau"), parse_goal("X=a, p(X)"))
+    assert not report.aligned
+    assert report.mismatch == "firings differ at node 2: [(1, (2,))] vs []"
+    assert report.nodes == 2
 
 
 def test_a_branch_ending_at_the_apply_budget_is_not_truncated():

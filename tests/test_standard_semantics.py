@@ -10,7 +10,7 @@ from conftest import load
 
 def test_initial_configuration():
     cfg = std.initial(parse_goal("p(X), X=a, q"))
-    assert len(cfg.goal) == 3
+    assert len(cfg.goal) == 2 and len(cfg.pending) == 1
     assert cfg.store == ()
     assert not cfg.builtins.equations
     assert cfg.tokens == frozenset()
@@ -21,7 +21,8 @@ def test_solve_moves_leftmost_builtin():
     cfg = std.initial(parse_goal("p(X), X=a, Y=b"))
     nxt = std.solve_step(cfg)
     assert nxt.builtins.equations == (Equation(Var("X"), const("a")),)
-    assert [type(g) for g in nxt.goal] == [Compound, Equation]
+    assert [type(g) for g in nxt.goal] == [Compound]
+    assert [type(g) for g in nxt.pending] == [Equation]
     assert nxt.counter == cfg.counter
 
 
@@ -45,7 +46,7 @@ def test_drain_prefers_solve_over_introduce():
     cfg = std.initial(parse_goal("p(X), X=a"))
     cfg, solves = std.drain(cfg)
     assert solves == 1
-    assert cfg.goal == ()
+    assert cfg.goal == cfg.pending == ()
     assert [a.ident for a in cfg.store] == [1]
 
 

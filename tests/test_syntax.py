@@ -103,6 +103,29 @@ def test_parse_errors(text):
         parse_program(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("r @ X = a <=> true.", "rule heads must be user-defined constraints"),
+        ("r @ p <=> | q.", "empty guard"),
+        ("r @ p <=> q | true.", "guards may contain only equations"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_program(text)
+
+
+def test_goals_take_no_identifiers_and_an_optional_final_dot():
+    with pytest.raises(ParseError, match="goals are written without identifiers"):
+        parse_goal("p(X)#1")
+    assert parse_goal("p(X).") == parse_goal("p(X)")
+
+
+def test_a_false_body_prints_back_unchanged():
+    assert print_program(parse_program("r @ p <=> false.")) == "r @ p <=> false.\n"
+
+
 def test_parse_error_carries_position():
     try:
         parse_program("r @ p <=>\nq #.")

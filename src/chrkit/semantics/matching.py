@@ -7,13 +7,20 @@ the guard, and no token for that rule/atom combination has been recorded.
 
 Firings are found the way compiled CHR finds them. The atoms are indexed by
 functor and arity, and each head position draws its candidates from its own
-bucket. A renamed head's variables are fresh, named apart from the atoms'
-by the supply, so the argument equations are entailed exactly when the head
-matches its atom one way: the head pattern is read as it is, the atom's
-arguments through ``walk`` on the store's mgu, and a head variable that
-repeats must meet identical store terms. A failed store entails anything,
-so there every assignment matches. Only a guard goes to the entailment
-check, instantiated with the matched terms.
+bucket. The heads are matched as they are written: a head matches its atom
+one way when the pattern, each of its variables mapped to a store term,
+equals the atom's arguments read through ``walk`` on the store's mgu, and
+a head variable that repeats must meet identical store terms. The pattern's
+variables are only ever keys of that map, so their names cannot meet the
+store's. This match holds exactly when the argument equations with a
+renamed-apart copy of the head are entailed. A failed store entails
+anything, so there every assignment matches. Only a guard goes to the
+entailment check, instantiated with the matched terms.
+
+Each rule still draws fresh names for all its variables once per call, in
+program order, so the names a derivation hands out do not depend on which
+rules fire; but a rule is renamed apart only once one of its firings has
+passed the token and guard checks.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import List
 
 from ..constraints import Store, entails_exists
 from ..syntax import Rule, Token
-from ..terms import Equation, FreshSupply, Var, rename_apart, rename_vars, vars_of, walk
+from ..terms import Equation, FreshSupply, Var, rename_vars, vars_of, walk
 
 
 @dataclass(frozen=True)
@@ -131,9 +138,11 @@ def enumerate_firings(program, atoms, builtins: Store, tokens, fresh: FreshSuppl
     """All firings of program rules on the given identified atoms.
 
     Enumeration order is deterministic: program order, then assignments over
-    atoms sorted by identifier. Each rule is renamed apart once per call,
-    from ``fresh``, which must avoid the atoms' variables (by default a
-    ``FreshSupply()`` that does). On a failed store every assignment fires.
+    atoms sorted by identifier. Each rule draws fresh names for its
+    variables once per call, from ``fresh``, which must avoid the atoms'
+    variables (by default a ``FreshSupply()`` that does); it is renamed
+    apart with them only when it fires. On a failed store every assignment
+    fires.
     """
     ordered = sorted(atoms, key=lambda a: a.ident)
     index = functor_index(ordered)
@@ -141,20 +150,22 @@ def enumerate_firings(program, atoms, builtins: Store, tokens, fresh: FreshSuppl
     fresh = fresh or FreshSupply(avoid=vars_of(ordered))
     out: List[Firing] = []
     for idx, rule in enumerate(program.rules):
-        renamed, _ = rename_apart(rule, fresh=fresh)
-        heads = renamed.heads
-        for chosen, theta in head_assignments(heads, ordered, index, mgu):
+        mapping = {v: fresh.fresh() for v in rule.variables}
+        renamed = None
+        for chosen, theta in head_assignments(rule.heads, ordered, index, mgu):
             combo = tuple(ordered[j] for j in chosen)
             token = Token(rule.name, tuple(a.ident for a in combo))
             if token in tokens:
                 continue
-            # theta's terms share no variable with its keys, so rename_vars
-            # applies it in one simultaneous step
-            if renamed.guard and not entails_exists(
-                builtins, (), rename_vars(renamed.guard, theta)
+            # theta binds the head variables to their store terms and the
+            # mapping renames the guard's own; one simultaneous step
+            if rule.guard and not entails_exists(
+                builtins, (), rename_vars(rule.guard, {**mapping, **theta})
             ):
                 continue
-            nk = len(renamed.kept)
-            eqs = argument_equations(combo, heads)
+            if renamed is None:
+                renamed = rename_vars(rule, mapping)
+            nk = len(rule.kept)
+            eqs = argument_equations(combo, renamed.heads)
             out.append(Firing(idx, renamed, combo[:nk], combo[nk:], eqs, token))
     return out

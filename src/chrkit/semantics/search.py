@@ -25,6 +25,7 @@ instead of producing wrong answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 from ..constraints import Store, canonical_locals, project, solve
@@ -176,8 +177,9 @@ class QualifiedAnswer:
     builtins: tuple
     failed: bool
 
-    @property
+    @cached_property
     def text(self) -> str:
+        """The answer as printed, printed once."""
         if self.failed:
             return "false"
         parts = [print_item(a) for a in self.atoms] + [print_item(e) for e in self.builtins]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .terms import (
@@ -24,6 +25,7 @@ from .terms import (
     FalseConstraint,
     Term,
     Var,
+    vars_of,
 )
 
 
@@ -36,6 +38,9 @@ class IdAtom:
 
     def map_terms(self, fn):
         return IdAtom(fn(self.atom), self.ident)
+
+    def parts(self) -> tuple:
+        return (self.atom,)
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,12 @@ class Rule:
     def is_propagation(self) -> bool:
         return not self.removed
 
+    @cached_property
+    def variables(self) -> tuple:
+        """The rule's variables sorted by name, the order in which renaming
+        it apart draws their fresh names; computed on first use."""
+        return tuple(sorted(vars_of(self), key=lambda v: v.name))
+
     def body_idents(self) -> tuple:
         return tuple(b.ident for b in self.body if isinstance(b, IdAtom))
 
@@ -86,6 +97,9 @@ class Rule:
             tuple(b.map_terms(fn) if isinstance(b, IdAtom) else fn(b) for b in self.body),
             self.tokens,
         )
+
+    def parts(self) -> tuple:
+        return (self.kept, self.removed, self.guard, self.body)
 
     def validate(self, annotated: bool) -> None:
         idents = self.body_idents()

@@ -62,8 +62,9 @@ BuiltinItem = Union[Equation, FalseConstraint]
 
 def vars_in_order(obj) -> dict:
     """The free variables of a term, an equation, or any nesting of
-    iterables and objects with a ``map_terms`` method, as the keys of a
-    dict in order of first appearance (preorder, left to right)."""
+    iterables and objects with a ``parts`` method (the terms and term
+    holders they are made of), as the keys of a dict in order of first
+    appearance (preorder, left to right)."""
     out: dict = {}
     # a stack of iterators over children, each resumed where the walk left it
     stack = [iter((obj,))]
@@ -84,10 +85,8 @@ def vars_in_order(obj) -> dict:
                 break
             elif cls is FalseConstraint:
                 pass
-            elif hasattr(o, "map_terms"):
-                parts: list = []
-                o.map_terms(lambda t: (parts.append(t), t)[1])
-                stack.append(iter(parts))
+            elif hasattr(o, "parts"):
+                stack.append(iter(o.parts()))
                 break
             else:
                 raise TypeError(f"cannot collect variables from {o!r}")
@@ -113,39 +112,56 @@ def walk(t: Term, sub: Subst) -> Term:
     return t
 
 
-def _rebuild(t: Term, sub: Subst, chase: bool) -> Term:
-    """The term with each variable V replaced by its image through ``sub``:
-    the end of V's chain of bindings when ``chase`` (a triangular
-    substitution), ``sub.get(V, V)`` otherwise (a renaming). A compound
-    image is rebuilt in turn."""
+def _rebuild(t: Term, sub: Subst, memo: Optional[dict]) -> Term:
+    """The term with each variable V replaced by its image through ``sub``.
+
+    With a ``memo`` dict, ``sub`` is triangular: the image is the end of V's
+    chain of bindings, itself rebuilt, and it is recorded in ``memo``, which
+    is read first, so a variable is resolved once per memo. Without one,
+    the image is ``sub.get(V, V)`` as it is (a renaming, or a substitution
+    applied in one simultaneous step)."""
     # a frame per compound: functor, iterator over args, args rebuilt so
-    # far; the bottom frame collects the result
-    stack = [(None, iter((t,)), [])]
+    # far, the variable whose image it is (or None); the bottom frame
+    # collects the result
+    stack = [(None, iter((t,)), [], None)]
     while True:
-        functor, rest, done = stack[-1]
+        functor, rest, done, _ = stack[-1]
         for a in rest:
+            v = None
             if isinstance(a, Var):
-                a = walk(a, sub) if chase else sub.get(a, a)
+                if memo is None:
+                    done.append(sub.get(a, a))
+                    continue
+                if a in memo:
+                    done.append(memo[a])
+                    continue
+                v, a = a, walk(a, sub)
                 if isinstance(a, Var):
+                    memo[v] = a
                     done.append(a)
                     continue
-            if a.args:
-                stack.append((a.functor, iter(a.args), []))
-                break
-            done.append(a)
+            if not a.args:
+                if v is not None:
+                    memo[v] = a
+                done.append(a)
+                continue
+            stack.append((a.functor, iter(a.args), [], v))
+            break
         else:
-            stack.pop()
+            _, _, _, v = stack.pop()
             if not stack:
                 return done[0]
-            stack[-1][2].append(Compound(functor, tuple(done)))
+            term = Compound(functor, tuple(done))
+            if v is not None:
+                memo[v] = term
+            stack[-1][2].append(term)
 
 
-def resolve(t: Term, sub: Subst) -> Term:
-    """Apply a (possibly triangular) substitution exhaustively."""
-    t = walk(t, sub)
-    if isinstance(t, Var) or not t.args:
-        return t
-    return _rebuild(t, sub, True)
+def resolve(t: Term, sub: Subst, memo: Optional[dict] = None) -> Term:
+    """Apply a (possibly triangular) substitution exhaustively. A ``memo``
+    shared by calls over the same substitution resolves each variable
+    once (see ``_rebuild``)."""
+    return _rebuild(t, sub, {} if memo is None else memo)
 
 
 def map_terms(obj, fn, *args):
@@ -167,16 +183,17 @@ def map_terms(obj, fn, *args):
 
 def apply_subst(obj, sub: Subst):
     """Structure-preserving substitution application."""
-    return map_terms(obj, resolve, sub)
+    return map_terms(obj, resolve, sub, {})
 
 
 def rename_vars(obj, mapping: Subst):
     """Apply a Var -> Var renaming in a single simultaneous step.
 
     Unlike apply_subst, images are never looked up again, so mappings that
-    swap or chain names (X -> Y, Y -> X) behave as a plain bijection.
+    swap or chain names (X -> Y, Y -> X) behave as a plain bijection. The
+    same holds for images that are compounds: they are used as they are.
     """
-    return map_terms(obj, _rebuild, mapping, False)
+    return map_terms(obj, _rebuild, mapping, None)
 
 
 def occurs_in(v: Var, t: Term, sub: Subst) -> bool:
@@ -240,10 +257,12 @@ def unify_terms(s: Term, t: Term, frozen=frozenset()):
 
 
 def solved_form(sub: Subst) -> Subst:
-    """Idempotent version of a triangular substitution."""
+    """Idempotent version of a triangular substitution. Each variable's
+    image is resolved once and shared by the images that contain it."""
+    memo: dict = {}
     out: Subst = {}
     for v in sub:
-        t = resolve(v, sub)
+        t = resolve(v, sub, memo)
         if t != v:
             out[v] = t
     return out

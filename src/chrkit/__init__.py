@@ -5,58 +5,7 @@ operational semantics (a two-store one with explicit atom introduction
 and a fused-store one whose goals are pre-identified), unfold rule
 bodies, decide whether a rule can be replaced by its unfolded versions,
 and run bounded termination, confluence and answer-equality checks.
+
+The package binds no names of its own: import each from the module that
+defines it.
 """
-
-from .syntax import (
-    IdAtom,
-    ParseError,
-    Program,
-    Rule,
-    Token,
-    annotate,
-    parse_goal,
-    parse_program,
-    print_goal,
-    print_program,
-    print_rule,
-    strip_annotations,
-)
-from .semantics import explore, lockstep_run, qualified_answers
-from .unfold import UnfoldSite, unfold_all, unfold_at, unfold_sites
-from .replace import check_replacement, replace_rule
-from .analysis import (
-    check_normal_confluence,
-    check_normal_termination,
-    diff_answer_sets,
-    probe_solve_orders,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "IdAtom",
-    "ParseError",
-    "Program",
-    "Rule",
-    "Token",
-    "UnfoldSite",
-    "annotate",
-    "check_normal_confluence",
-    "check_normal_termination",
-    "check_replacement",
-    "diff_answer_sets",
-    "explore",
-    "lockstep_run",
-    "parse_goal",
-    "parse_program",
-    "print_goal",
-    "print_program",
-    "print_rule",
-    "probe_solve_orders",
-    "qualified_answers",
-    "replace_rule",
-    "strip_annotations",
-    "unfold_all",
-    "unfold_at",
-    "unfold_sites",
-]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .analysis import check_normal_termination, confluence_of, diff_answer_sets
 from .replace import check_replacement, replace_rule
-from .semantics import qualified_answers
+from .semantics.search import qualified_answers
 from .syntax import (
     ParseError,
     annotate,

@@ -35,7 +35,7 @@ class Config:
 
 
 def initial(goal) -> Config:
-    items, last = identify_atoms(goal, 0)
+    items, last = identify_atoms(goal)
     return Config(*split_builtins(items), TRUE, frozenset(), last)
 
 

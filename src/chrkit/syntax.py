@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .terms import (
     Compound,
@@ -52,10 +52,6 @@ class Token:
 
     def shifted(self, offset: int) -> "Token":
         return Token(self.rule_name, tuple(i + offset for i in self.idents))
-
-
-BodyItem = Union[Compound, IdAtom, Equation, FalseConstraint]
-GoalItem = Union[Compound, Equation, FalseConstraint]
 
 
 @dataclass(frozen=True)
@@ -156,13 +152,13 @@ def split_builtins(items: Iterable):
     return tuple(atoms), tuple(builtins)
 
 
-def identify_atoms(items: Sequence, start: int = 0):
-    """Number the user-defined atoms left to right with start+1, start+2, ...
+def identify_atoms(items: Sequence):
+    """Number the user-defined atoms left to right with 1, 2, ...
 
     Returns (items with atoms replaced by IdAtoms, last identifier used).
     """
     out = []
-    n = start
+    n = 0
     for it in items:
         if isinstance(it, Compound):
             n += 1
@@ -181,7 +177,7 @@ def annotate(program: Program) -> Program:
         raise ValueError("program is already annotated")
     rules = []
     for r in program.rules:
-        body, _ = identify_atoms(r.body, 0)
+        body, _ = identify_atoms(r.body)
         rules.append(Rule(r.name, r.kept, r.removed, r.guard, body))
     return Program(tuple(rules), annotated=True).validate()
 

@@ -57,9 +57,6 @@ class FalseConstraint:
     """The always-inconsistent built-in constraint."""
 
 
-BuiltinItem = Union[Equation, FalseConstraint]
-
-
 def vars_in_order(obj) -> dict:
     """The free variables of a term, an equation, or any nesting of
     iterables and objects with a ``parts`` method (the terms and term
@@ -252,10 +249,6 @@ def unify(pairs, frozen=frozenset(), prefer=frozenset(), base: Optional[Subst] =
     return sub
 
 
-def unify_terms(s: Term, t: Term, frozen=frozenset()):
-    return unify([(s, t)], frozen=frozen)
-
-
 def solved_form(sub: Subst) -> Subst:
     """Idempotent version of a triangular substitution. Each variable's
     image is resolved once and shared by the images that contain it."""
@@ -285,13 +278,11 @@ class FreshSupply:
                 return Var(name)
 
 
-def rename_apart(obj, vars_to_rename=None, fresh: Optional[FreshSupply] = None):
+def rename_apart(obj, fresh: Optional[FreshSupply] = None):
     """Rename the object's variables to fresh ones, by default from a new
     ``FreshSupply()`` that avoids the object's variables; returns
     (renamed, mapping)."""
     names = vars_of(obj)
-    if vars_to_rename is None:
-        vars_to_rename = names
     fresh = fresh or FreshSupply(avoid=names)
-    mapping: Subst = {v: fresh.fresh() for v in sorted(vars_to_rename, key=lambda v: v.name)}
+    mapping: Subst = {v: fresh.fresh() for v in sorted(names, key=lambda v: v.name)}
     return rename_vars(obj, mapping), mapping

@@ -92,8 +92,8 @@ def _term(rng, names, depth=1):
     return f"f({_term(rng, names, depth - 1)})"
 
 
-def _atom(rng, names, predicates=PREDICATES):
-    name, arity = rng.choice(predicates)
+def _atom(rng, names):
+    name, arity = rng.choice(PREDICATES)
     if not arity:
         return name
     return f"{name}({', '.join(_term(rng, names) for _ in range(arity))})"
@@ -111,7 +111,7 @@ def _guard(rng, head_vars) -> str:
 
 
 def _body(rng, head_vars) -> list:
-    names = head_vars + ["W"] if head_vars else ["W"]
+    names = head_vars + ["W"]
     items = []
     for _ in range(rng.randint(0, 3)):
         roll = rng.random()
@@ -147,10 +147,12 @@ def _rule_text(name, kept, removed, guard, body, tokens="") -> str:
     return f"{name} @ {head} {guard}{', '.join(body) or 'true'}{tokens}."
 
 
-def _goal(rng, names=GOAL_VARS, predicates=PREDICATES) -> str:
-    items = [_atom(rng, names, predicates) for _ in range(rng.randint(1, 3))]
+def _goal(rng) -> str:
+    items = [_atom(rng, GOAL_VARS) for _ in range(rng.randint(1, 3))]
     if rng.random() < 0.2:
-        items.insert(rng.randint(0, len(items)), f"{rng.choice(names)} = {_term(rng, names)}")
+        items.insert(
+            rng.randint(0, len(items)), f"{rng.choice(GOAL_VARS)} = {_term(rng, GOAL_VARS)}"
+        )
     return ", ".join(items)
 
 

@@ -171,11 +171,11 @@ def test_strip_annotations_inverts_annotate():
 
 def test_identify_atoms_offsets():
     items = (Compound("p", ()), Equation(Var("X"), const("a")), Compound("q", ()))
-    out, last = identify_atoms(items, start=4)
-    assert last == 6
-    assert out[0] == IdAtom(Compound("p", ()), 5)
+    out, last = identify_atoms(items)
+    assert last == 2
+    assert out[0] == IdAtom(Compound("p", ()), 1)
     assert isinstance(out[1], Equation)
-    assert out[2] == IdAtom(Compound("q", ()), 6)
+    assert out[2] == IdAtom(Compound("q", ()), 2)
 
 
 def test_identify_atoms_rejects_preidentified_input():

@@ -16,7 +16,6 @@ from chrkit.terms import (
     resolve,
     solved_form,
     unify,
-    unify_terms,
     vars_of,
     walk,
 )
@@ -153,18 +152,6 @@ def test_rename_apart_avoids_the_objects_own_names_by_default():
     renamed, mapping = rename_apart(f(Var("_V1"), X))
     assert mapping == {X: Var("_V2"), Var("_V1"): Var("_V3")}
     assert renamed == f(Var("_V3"), Var("_V2"))
-
-
-def test_rename_apart_respects_explicit_var_set():
-    renamed, mapping = rename_apart(f(X, Y), vars_to_rename={X})
-    assert Y in vars_of(renamed)
-    assert X not in vars_of(renamed)
-    assert set(mapping) == {X}
-
-
-def test_unify_terms_shortcut():
-    assert unify_terms(f(X), f(a)) is not None
-    assert unify_terms(f(X), g(a)) is None
 
 
 # ------------------------------------------------------------ properties

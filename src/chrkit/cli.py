@@ -5,11 +5,16 @@ Output is plain text by default; --json switches every command to JSON
 lines with a schema tag so runs can be diffed and replayed. Exit codes:
 0 success, 1 error, 2 usage, 3 exploration hit a budget, 4 a check or a
 differential comparison came out negative.
+
+``main(argv)`` may be called many times in one process: it builds the
+argument parser on its first call and keeps it, so a later call only
+parses its arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -358,6 +363,8 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command line surface; ``COMMANDS`` names the function
+    that runs each subcommand."""
     top = argparse.ArgumentParser(
         prog="chrkit",
         description="Toolkit for CHR programs: run them under two "
@@ -366,9 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, goals=False):
+    def command(name, help, goals=False):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
         p.add_argument("program", help="path to a .chr file")
         p.add_argument("--json", action="store_true",
                        help="emit JSON lines instead of text")
@@ -382,11 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--goals", help="file with one goal per line")
         return p
 
-    command("parse", cmd_parse, "parse and reprint a program")
-    command("annotate", cmd_annotate, "number body atoms and attach "
-            "empty token stores")
+    command("parse", "parse and reprint a program")
+    command("annotate", "number body atoms and attach empty token stores")
 
-    p = command("run", cmd_run, "print the answers for each goal", goals=True)
+    p = command("run", "print the answers for each goal", goals=True)
     p.add_argument(
         "--semantics",
         default="annotated",
@@ -395,20 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
         "wt and wt-prime are accepted as aliases",
     )
 
-    p = command("unfold", cmd_unfold, "list unfolded versions of a rule")
+    p = command("unfold", "list unfolded versions of a rule")
     p.add_argument("--rule", required=True, help="name of the rule to unfold")
     p.add_argument("--with", dest="source", help="only use this source rule")
     p.add_argument("--at", help="only this body id sequence, e.g. 1,2")
     p.add_argument("--all", action="store_true",
                    help="print the deduplicated unfold set")
 
-    p = command("check-replace", cmd_check_replace,
-                "can the rule be replaced by its unfoldings?")
+    p = command("check-replace", "can the rule be replaced by its unfoldings?")
     p.add_argument("--rule", required=True)
     p.add_argument("--weak", action="store_true",
                    help="use the weaker guard-equivalence criterion")
 
-    p = command("transform", cmd_transform,
+    p = command("transform",
                 "replace rules by their unfoldings and certify "
                 "answers on a goal suite", goals=True)
     p.add_argument("--seed", type=int, default=0,
@@ -419,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output .chr path")
     p.add_argument("--cert", help="certificate path (JSON lines)")
 
-    p = command("verify", cmd_verify,
+    p = command("verify",
                 "per-goal bounded termination, confluence and "
                 "semantics agreement table", goals=True)
     p.add_argument("--witness-dir", default="witnesses",
@@ -428,10 +432,29 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+COMMANDS = {
+    "parse": cmd_parse,
+    "annotate": cmd_annotate,
+    "run": cmd_run,
+    "unfold": cmd_unfold,
+    "check-replace": cmd_check_replace,
+    "transform": cmd_transform,
+    "verify": cmd_verify,
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``build_parser``, built on first use and kept: it holds
+    no state of a call, and argparse reads the terminal width and the output
+    streams each time it prints."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except CliError as exc:
         print(f"chrkit: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -26,15 +26,70 @@ class Var:
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Compound:
+    """A functor applied to a tuple of argument terms. ``==`` and ``hash``
+    compare the structure, and ``repr`` prints ``Compound(f, [args])``;
+    all three keep their own stack, so a term of any depth works."""
+
     functor: str
     args: tuple = ()
 
+    def __eq__(self, other):
+        if other.__class__ is not Compound:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            for x, y in zip(a.args, b.args):
+                if x.__class__ is Compound and y.__class__ is Compound:
+                    stack.append((x, y))
+                elif not x == y:
+                    return False
+        return True
+
+    def __hash__(self):
+        # post-order: a compound hashes its functor with its arguments'
+        # hashes, so equal terms hash alike; a frame per compound holds
+        # the functor, an iterator over its args and their hashes so far
+        frames = [(self.functor, iter(self.args), [])]
+        while True:
+            functor, rest, done = frames[-1]
+            for a in rest:
+                if a.__class__ is Compound and a.args:
+                    frames.append((a.functor, iter(a.args), []))
+                    break
+                done.append(hash(a))
+            else:
+                frames.pop()
+                h = hash((functor, tuple(done)))
+                if not frames:
+                    return h
+                frames[-1][2].append(h)
+
     def __repr__(self):
-        if not self.args:
-            return f"Compound({self.functor})"
-        return f"Compound({self.functor}, {list(self.args)})"
+        # the stack holds compounds still to print and finished text
+        out = []
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            if t.__class__ is not Compound:
+                out.append(t)
+            elif not t.args:
+                out.append(f"Compound({t.functor})")
+            else:
+                out.append(f"Compound({t.functor}, [")
+                stack.append("])")
+                for i in range(len(t.args) - 1, -1, -1):
+                    a = t.args[i]
+                    stack.append(a if a.__class__ is Compound else repr(a))
+                    if i:
+                        stack.append(", ")
+        return "".join(out)
 
 
 Term = Union[Var, Compound]

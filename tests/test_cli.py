@@ -479,7 +479,7 @@ def test_library_errors_become_one_line_messages(monkeypatch, capsys):
     def broken(args):
         raise ValueError("first line\nsecond line")
 
-    monkeypatch.setattr(chrkit.cli, "cmd_parse", broken)
+    monkeypatch.setitem(chrkit.cli.COMMANDS, "parse", broken)
     code, out, err = run_cli(capsys, "parse", fx("mau"))
     assert code == 1
     assert err == "chrkit: ValueError: first line second line\n"

@@ -1,8 +1,10 @@
-"""Explicit-stack term walkers, one solve per answer, and the parser's term
-reader, property-tested against the recursive versions they replace, plus
-a work gate on the solves ``render_answer`` makes."""
+"""Explicit-stack term walkers, ``Compound``'s ``==``, ``hash`` and
+``repr``, one solve per answer, and the parser's term reader,
+property-tested against the recursive versions they replace, plus a work
+gate on the solves ``render_answer`` makes."""
 
 import re
+from dataclasses import dataclass
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -252,6 +254,35 @@ def ref_print_item(it) -> str:
     return ref_print_term(it)
 
 
+@dataclass(frozen=True)
+class RefCompound:
+    """Compound with the dataclass-generated ``__eq__`` and ``__hash__``
+    and its recursive ``__repr__``."""
+
+    functor: str
+    args: tuple = ()
+
+    def __repr__(self):
+        if not self.args:
+            return f"Compound({self.functor})"
+        return f"Compound({self.functor}, {list(self.args)})"
+
+
+def to_ref(t: Term):
+    if isinstance(t, Var):
+        return t
+    return RefCompound(t.functor, tuple(to_ref(a) for a in t.args))
+
+
+def from_ref(t, functors=None) -> Term:
+    """A copy of the term that shares no compound with any other, with the
+    functors ``functors`` maps replaced."""
+    if isinstance(t, Var):
+        return t
+    functor = (functors or {}).get(t.functor, t.functor)
+    return Compound(functor, tuple(from_ref(a, functors) for a in t.args))
+
+
 class RefParser(syntax._Parser):
     """The parser with its recursive term reader."""
 
@@ -349,6 +380,38 @@ def stores(draw):
 
 
 # ------------------------------------------------------------ properties
+
+
+# a term and another: a copy of it, one with its constants swapped, a term
+# one step away, or any term
+term_pairs_st = terms_st.flatmap(lambda a: st.tuples(st.just(a), st.one_of(
+    st.just(from_ref(to_ref(a))),
+    st.just(from_ref(to_ref(a), {"a": "b", "b": "a"})),
+    st.builds(lambda b: Compound("f", (b,)), st.just(a)),
+    st.just(resolve(a, {Var("X"): Compound("a")})),
+    terms_st,
+)))
+
+
+@given(term_pairs_st)
+def test_compound_eq_and_hash_match_the_generated_ones(pair):
+    a, b = pair
+    equal = to_ref(a) == to_ref(b)
+    assert (a == b) is equal
+    assert (a != b) is not equal
+    if equal:
+        assert hash(a) == hash(b)
+        assert {a: 1}.get(b) == 1 and b in {a}
+    else:
+        assert {a: 1}.get(b) is None and b not in {a}
+    for other in VARS + (None, "a"):
+        assert (a == other) is (to_ref(a) == other)
+        assert (other == a) is (other == to_ref(a))
+
+
+@given(terms_st)
+def test_compound_repr_matches_the_recursive_one(t):
+    assert repr(t) == repr(to_ref(t))
 
 
 @given(terms_st, substitutions())
@@ -507,13 +570,31 @@ def test_goal_parse_errors_match_the_recursive_reader(text):
     assert _parse(syntax._Parser, text, True) == _parse(RefParser, text, True)
 
 
+def peano(n: int, zero: str = "z") -> Compound:
+    t = Compound(zero)
+    for _ in range(n):
+        t = Compound("s", (t,))
+    return t
+
+
+def test_terms_5000_deep_compare_hash_and_print():
+    a, b = peano(5000), peano(5000)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert {a: "a"}[b] == "a" and b in {a} and len({a, b}) == 1
+    for other in (peano(5000, "y"), peano(4999), Compound("t", a.args)):
+        assert a != other and not a == other
+        assert other not in {a} and {a: "a"}.get(other) is None
+    assert repr(a) == "Compound(s, [" * 5000 + "Compound(z)" + "])" * 5000
+
+
 def test_a_goal_nested_5000_deep_round_trips():
-    # compared through their text: the generated __eq__ of terms recurses
     depth = 5000
     text = f"p({'f(' * depth}X{')' * depth},{'g(a,' * depth}b{')' * depth})"
     (atom,) = parse_goal(text)
     assert print_item(atom) == text
-    assert print_item(parse_goal(print_item(atom))[0]) == text
+    assert parse_goal(print_item(atom))[0] == atom
     assert vars_of(atom) == {Var("X")}
     assert list(vars_in_order(rename_vars(atom, {Var("X"): Var("Y")}))) == [Var("Y")]
     assert print_term(resolve(atom, {Var("X"): Compound("c")})) == text.replace("X", "c")

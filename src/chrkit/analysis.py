@@ -11,11 +11,11 @@ are resolved into the atoms, and the built-in store is restricted to the
 variables still reachable from the goal or the atoms. A branch that repeats
 an ancestor's view (modulo renaming away from the goal variables) can be
 replayed forever, since rule applicability only ever consults that part of
-the state. Each view on a branch's history, like each final state that
-``diff_answer_sets`` matches, carries its fingerprint
-(``state_fingerprint``), and one scan (``_first``) gives only entries with
-an equal fingerprint the exact check; the scan keeps its order, so the
-first repeated ancestor is the same.
+the state. The views of the branch walked, like the final states that
+``diff_answer_sets`` matches, go in a ``StateIndex``, which finds the first
+repeated ancestor. The walk is depth first, so a node's ancestors are the
+last nodes walked at each smaller depth: the index is cut back to the
+node's depth (or apply count) before it is used.
 """
 
 from __future__ import annotations
@@ -24,44 +24,20 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .constraints import Store, project, solve
-from .equivalence import state_fingerprint, states_equivalent_mod
+# not called here: perfbench's layer trace and tests/snapshot.py wrap this binding
+from .equivalence import states_equivalent_mod  # noqa: F401
 from .semantics import annotated
-from .semantics.search import (
-    AnswerSet,
-    FinalState,
-    Walk,
-    fit_program,
-    qualified_answers,
-)
+from .semantics.search import AnswerSet, StateIndex, Walk, fit_program, qualified_answers
 from .syntax import print_item
 from .terms import FreshSupply, apply_subst, vars_of
 
 
-def _keyed(state, goal_vars):
-    """The state ``(atoms, builtins, tokens)`` paired with its fingerprint."""
-    return state, state_fingerprint(*state, goal_vars)
-
-
-def _live_view(atoms, builtins: Store, tokens, goal_vars):
-    """The state's live view, keyed."""
+def _live_view(history: StateIndex, atoms, builtins: Store, tokens):
+    """The state's live view, as an entry of the history."""
     if not builtins.failed:
         atoms = apply_subst(tuple(atoms), solve(builtins))
-    keep = set(goal_vars) | vars_of(atoms)
-    return _keyed((atoms, Store(project(builtins, keep)), tokens), goal_vars)
-
-
-def _first(entries, keyed, goal_vars) -> Optional[int]:
-    """The index of the first keyed entry, skipping None, whose state is
-    equivalent to the keyed state."""
-    state, (key, profiles) = keyed
-    for i, entry in enumerate(entries):
-        if entry is not None:
-            old, (old_key, old_profiles) = entry
-            if old_key == key and states_equivalent_mod(
-                *old, *state, goal_vars, old_profiles, profiles
-            ):
-                return i
-    return None
+    keep = set(history.fixed) | vars_of(atoms)
+    return history.entry(atoms, Store(project(builtins, keep)), tokens)
 
 
 @dataclass
@@ -92,24 +68,24 @@ def check_normal_termination(
     program = fit_program(program, "annotated")
     goal_vars = frozenset(vars_of(tuple(goal)))
     fresh = FreshSupply("_R", goal_vars)
-    walk = Walk((annotated.initial(goal), (), ()), max_applies, max_states)
-    for (cfg, history, trace), depth in walk:
+    # the views of the branch walked, one per depth
+    history = StateIndex(goal_vars)
+    walk = Walk((annotated.initial(goal), ()), max_applies, max_states)
+    for (cfg, trace), depth in walk:
         cfg, _ = annotated.drain(cfg)
         if cfg.failed:
             continue
-        view = _live_view(cfg.atoms, cfg.builtins, cfg.tokens, goal_vars)
-        first = _first(history, view, goal_vars)
+        view = _live_view(history, cfg.atoms, cfg.builtins, cfg.tokens)
+        history.cut(depth)
+        first = history.find(view)
         if first is not None:
             return TerminationReport(
                 "diverges", Cycle(trace, first, depth), walk.expanded,
                 walk.truncated,
             )
+        history.push(view)
         walk.expand(depth, [
-            (
-                child,
-                history + (view,),
-                trace + ((firing.rule.name, firing.idents),),
-            )
+            (child, trace + ((firing.rule.name, firing.idents),))
             for firing, child in annotated.successors(program, cfg, fresh)
         ])
     if walk.truncated:
@@ -173,10 +149,16 @@ def probe_solve_orders(
     program = fit_program(program, "annotated")
     goal_vars = frozenset(vars_of(tuple(goal)))
     fresh = FreshSupply("_R", goal_vars)
-    walk = Walk((annotated.initial(goal), (), 0, ()), max_steps, max_states)
-    for (cfg, history, applies, trace), steps in walk:
+    # the views of the branch walked, one per apply; a node made by an
+    # apply carries its view, which goes in when the node is walked
+    history = StateIndex(goal_vars)
+    walk = Walk((annotated.initial(goal), None, 0, ()), max_steps, max_states)
+    for (cfg, view, applies, trace), steps in walk:
         if cfg.failed:
             continue
+        history.cut(applies - (view is not None))
+        if view is not None:
+            history.push(view)
         # checked before the children are built: at the budget even a leaf
         # truncates, and no cycle check runs beyond it
         if steps >= max_steps:
@@ -185,11 +167,11 @@ def probe_solve_orders(
         children = []
         for i, item in enumerate(cfg.pending):
             label = ("solve", print_item(item))
-            children.append((annotated.solve_at(cfg, i), history, applies, trace + (label,)))
+            children.append((annotated.solve_at(cfg, i), None, applies, trace + (label,)))
         for firing, child in annotated.successors(program, cfg, fresh):
             label = ("apply", firing.rule.name, firing.idents)
-            view = _live_view(child.atoms, child.builtins, child.tokens, goal_vars)
-            first = _first(history, view, goal_vars)
+            child_view = _live_view(history, child.atoms, child.builtins, child.tokens)
+            first = history.find(child_view)
             if first is not None:
                 return ProbeReport(
                     True,
@@ -197,7 +179,7 @@ def probe_solve_orders(
                     walk.expanded,
                     walk.truncated,
                 )
-            children.append((child, history + (view,), applies + 1, trace + (label,)))
+            children.append((child, child_view, applies + 1, trace + (label,)))
         walk.expand(steps, children)
     return ProbeReport(False, None, walk.expanded, walk.truncated)
 
@@ -215,21 +197,18 @@ def diff_answer_sets(left: AnswerSet, right: AnswerSet) -> AnswerDiff:
     away from the goal variables and report the leftovers."""
     if set(left.goal_vars) != set(right.goal_vars):
         raise ValueError("answer sets come from different goals")
-    goal_vars = left.goal_vars
-
-    def keyed(fs: FinalState):
-        return _keyed((fs.atoms, fs.builtins, fs.tokens), goal_vars)
-
-    # a matched right final is set to None, so it is matched once
-    rights = [keyed(fr) for fr in right.finals]
-    only_left = []
-    for i, fl in enumerate(left.finals):
-        hit = _first(rights, keyed(fl), goal_vars)
+    # a matched right final is skipped, so it is matched once
+    rights = StateIndex(left.goal_vars)
+    for fs in right.finals:
+        rights.push(rights.entry(fs.atoms, fs.builtins, fs.tokens))
+    only_left, matched = [], set()
+    for answer, fs in zip(left.answers, left.finals):
+        hit = rights.find(rights.entry(fs.atoms, fs.builtins, fs.tokens), matched)
         if hit is None:
-            only_left.append(left.answers[i].text)
+            only_left.append(answer.text)
         else:
-            rights[hit] = None
-    only_right = [right.answers[j].text for j, r in enumerate(rights) if r is not None]
+            matched.add(hit)
+    only_right = [a.text for j, a in enumerate(right.answers) if j not in matched]
     return AnswerDiff(
         not only_left and not only_right,
         only_left,

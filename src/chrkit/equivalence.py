@@ -310,7 +310,7 @@ def configs_correspond(std, fused) -> bool:
     return (
         std.counter + len(std.goal) == fused.counter + 1
         and _multiset_equal(std.pending, fused.pending)
-        # atoms are compared as printed text: term equality recurses over depth
+        # atoms are compared as printed text: hashing whole terms costs more
         and _multiset_equal(std.store + stamped, fused.atoms)
         # tokens whose atoms are gone can never fire and carry no information
         and clean_tokens(std.tokens, std.store) == clean_tokens(fused.tokens, fused.atoms)

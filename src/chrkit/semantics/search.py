@@ -10,10 +10,11 @@ are deduplicated modulo renaming away from the goal variables.
 ``explore`` dedups the non-failed states it visits, terminal ones
 included, through a ``StateIndex``, so its non-failed finals are already
 pairwise inequivalent; of its failed finals, all equivalent, the answers
-keep the first. A ``StateIndex`` buckets states by their multiset of atom
-shapes, a bucket's renaming-invariant fingerprints (``state_fingerprint``)
-are only computed once it holds a second state, and the exact
-``states_equivalent_mod`` runs only between states with equal fingerprints.
+keep the first. ``StateIndex`` is the one lookup modulo renaming, which the
+verifiers' histories and answer diff use too: a state meets only the held
+states of its multiset of atom shapes, gets a fingerprint
+(``state_fingerprint``) only when its shape is held, and meets the exact
+``states_equivalent_mod`` only on equal fingerprints, in push order.
 
 Every search here and in ``analysis`` is a loop body over one ``Walk``, a
 depth-first walk of the derivation tree. Budgets make every search total:
@@ -83,37 +84,59 @@ class Walk:
 
 
 class StateIndex:
-    """The states seen so far, looked up modulo renaming away from ``fixed``.
+    """States held by position, looked up modulo renaming away from ``fixed``.
 
-    A shape bucket holding one state keeps it bare; once a second state
-    arrives, the bucket files its states by fingerprint. Equivalent states
-    have equal shapes and fingerprints, so the exact check only runs within
-    one fingerprint, in the order the states were added.
+    A state goes in as an ``entry``, which keeps its fingerprint once one is
+    computed: when the state first meets another of its shape.
     """
 
     def __init__(self, fixed):
         self.fixed = frozenset(fixed)
-        # shape -> the lone state, or {fingerprint key: [(state, profiles)]}
-        self._buckets: dict = {}
+        self._held: list = []  # position -> entry
+        self._shapes: dict = {}  # shape -> the positions holding it, rising
+
+    def entry(self, atoms, builtins, tokens) -> list:
+        """The state, its shape and its fingerprint, None until needed."""
+        return [(atoms, builtins, tokens), shape_key(atoms, builtins), None]
+
+    def _fingerprint(self, entry):
+        if entry[2] is None:
+            key, _ = entry[2] = state_fingerprint(*entry[0], self.fixed)
+            hash(key)  # frozensets keep their hash: unequal keys then differ fast
+        return entry[2]
+
+    def find(self, entry, skip=()) -> Optional[int]:
+        """The position of the first held state outside ``skip`` that is
+        equivalent to the entry's."""
+        positions = self._shapes.get(entry[1])
+        if not positions:
+            return None
+        key, profiles = self._fingerprint(entry)
+        for pos in positions:
+            old = self._held[pos]
+            old_key, old_profiles = old[2] or self._fingerprint(old)
+            if old_key == key and pos not in skip and states_equivalent_mod(
+                *entry[0], *old[0], self.fixed, profiles, old_profiles
+            ):
+                return pos
+        return None
+
+    def push(self, entry) -> None:
+        self._shapes.setdefault(entry[1], []).append(len(self._held))
+        self._held.append(entry)
+
+    def cut(self, n: int) -> None:
+        """Keep the first ``n`` states."""
+        while len(self._held) > n:
+            self._shapes[self._held.pop()[1]].pop()
 
     def add(self, atoms, builtins, tokens) -> bool:
-        """Add the state unless an equivalent one is in; return whether it
-        was added."""
-        shape = shape_key(atoms, builtins)
-        state = (atoms, builtins, tokens)
-        bucket = self._buckets.get(shape)
-        if bucket is None:
-            self._buckets[shape] = state
-            return True
-        if isinstance(bucket, tuple):
-            key, profiles = state_fingerprint(*bucket, self.fixed)
-            bucket = self._buckets[shape] = {key: [(bucket, profiles)]}
-        key, profiles = state_fingerprint(*state, self.fixed)
-        same = bucket.setdefault(key, [])
-        for old, old_profiles in same:
-            if states_equivalent_mod(*state, *old, self.fixed, profiles, old_profiles):
-                return False
-        same.append((state, profiles))
+        """Push the state unless an equivalent one is held; return whether
+        it was pushed."""
+        entry = self.entry(atoms, builtins, tokens)
+        if self.find(entry) is not None:
+            return False
+        self.push(entry)
         return True
 
 

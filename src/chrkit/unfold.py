@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from .constraints import TRUE, conjoin, entails_exists, entailment_witness, satisfiable
 from .equivalence import rules_isomorphic
-from .syntax import IdAtom, Program, Rule, Token, clean_tokens, print_term
+from .syntax import Program, Rule, Token, clean_tokens, print_term, split_builtins
 from .terms import FreshSupply, apply_subst, rename_apart, vars_of
 from .semantics.annotated import shift_identifiers
 from .semantics.matching import argument_equations, functor_index, head_assignments
@@ -50,12 +50,6 @@ def _dedup_equations(eqs) -> tuple:
     return tuple(out)
 
 
-def _body_split(rule: Rule):
-    atoms = [b for b in rule.body if isinstance(b, IdAtom)]
-    builtins = [b for b in rule.body if not isinstance(b, IdAtom)]
-    return atoms, builtins
-
-
 def unfold_at(program: Program, target_index: int, source_index: int,
               idents, track_tokens: bool = True) -> Optional[UnfoldSite]:
     """Unfold the target rule with the source rule at the body atoms with
@@ -69,7 +63,7 @@ def unfold_at(program: Program, target_index: int, source_index: int,
     """
     r = program.rules[target_index]
     v, _ = rename_apart(program.rules[source_index], fresh=FreshSupply("_U", vars_of(r)))
-    body_atoms, body_builtins = _body_split(r)
+    body_atoms, body_builtins = split_builtins(r.body)
     by_id = {a.ident: a for a in body_atoms}
     heads = v.heads
     if len(idents) != len(heads) or len(set(idents)) != len(idents):
@@ -86,7 +80,7 @@ def unfold_at(program: Program, target_index: int, source_index: int,
     token = Token(program.rules[source_index].name, tuple(idents))
     if track_tokens and token in r.tokens:
         return None
-    assumed = conjoin(TRUE, r.guard + tuple(body_builtins))
+    assumed = conjoin(TRUE, r.guard + body_builtins)
     if assumed.failed:
         return None
     eqs = argument_equations(matched, heads)
@@ -110,7 +104,7 @@ def unfold_at(program: Program, target_index: int, source_index: int,
         other_atoms
         + tuple(kept_matched)
         + inst_body
-        + tuple(body_builtins)
+        + body_builtins
         + _dedup_equations(eqs)
     )
     survivors = other_atoms + tuple(kept_matched)
@@ -138,7 +132,7 @@ def unfold_sites(program: Program, target_index: int) -> List[UnfoldSite]:
     if not program.annotated:
         raise ValueError("unfolding works on annotated programs")
     r = program.rules[target_index]
-    body_atoms, _ = _body_split(r)
+    body_atoms, _ = split_builtins(r.body)
     ordered = sorted(body_atoms, key=lambda a: a.ident)
     index = functor_index(ordered)
     out: List[UnfoldSite] = []

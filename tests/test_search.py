@@ -249,8 +249,9 @@ def test_lockstep_aligns_a_goal_with_a_1500_deep_binding():
 
 
 def test_lockstep_aligns_a_rule_body_holding_a_1500_deep_term():
-    # the goal and introduced atoms of both readings are compared as text:
-    # comparing the terms themselves recursed once per nesting level
+    # the goal and introduced atoms of both readings are compared as printed
+    # text, which is cheaper than hashing whole terms into a multiset; the
+    # printer must not recurse once per nesting level
     deep = "s(" * 1500 + "z" + ")" * 1500
     report = lockstep_run(
         parse_program(f"r @ p(X) <=> q(X, {deep}). v @ q(Y, Z) <=> t(Y, Z)."),

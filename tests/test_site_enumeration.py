@@ -29,9 +29,15 @@ from chrkit.terms import (
     rename_apart,
     vars_of,
 )
-from chrkit.unfold import UnfoldSite, _body_split, _dedup_equations, unfold_sites
+from chrkit.unfold import UnfoldSite, _dedup_equations, unfold_sites
 
 # ------------------------------------------------------------- reference
+
+
+def _body_split(rule: Rule):
+    atoms = [b for b in rule.body if isinstance(b, IdAtom)]
+    builtins = [b for b in rule.body if not isinstance(b, IdAtom)]
+    return atoms, builtins
 
 
 def reference_unfold_at(program: Program, target_index: int, source_index: int,

@@ -12,7 +12,8 @@ variables still reachable from the goal or the atoms. A branch that repeats
 an ancestor's view (modulo renaming away from the goal variables) can be
 replayed forever, since rule applicability only ever consults that part of
 the state. The views of the branch walked, like the final states that
-``diff_answer_sets`` matches, go in a ``StateIndex``, which finds the first
+``diff_answer_sets`` matches (``explore``'s own ``State`` values, which
+keep their fingerprints), go in a ``StateIndex``, which finds the first
 repeated ancestor. The walk is depth first, so a node's ancestors are the
 last nodes walked at each smaller depth: the index is cut back to the
 node's depth (or apply count) before it is used.
@@ -27,17 +28,16 @@ from .constraints import Store, project, solve
 # not called here: perfbench's layer trace and tests/snapshot.py wrap this binding
 from .equivalence import states_equivalent_mod  # noqa: F401
 from .semantics import annotated
-from .semantics.search import AnswerSet, StateIndex, Walk, fit_program, qualified_answers
+from .semantics.search import AnswerSet, State, StateIndex, Walk, fit_program, qualified_answers
 from .syntax import print_item
 from .terms import FreshSupply, apply_subst, vars_of
 
 
-def _live_view(history: StateIndex, atoms, builtins: Store, tokens):
-    """The state's live view, as an entry of the history."""
-    if not builtins.failed:
-        atoms = apply_subst(tuple(atoms), solve(builtins))
-    keep = set(history.fixed) | vars_of(atoms)
-    return history.entry(atoms, Store(project(builtins, keep)), tokens)
+def _live_view(cfg, fixed) -> State:
+    """The configuration's live view away from the fixed variables."""
+    atoms = cfg.atoms if cfg.failed else apply_subst(tuple(cfg.atoms), solve(cfg.builtins))
+    keep = set(fixed) | vars_of(atoms)
+    return State(atoms, Store(project(cfg.builtins, keep)), cfg.tokens)
 
 
 @dataclass
@@ -75,7 +75,7 @@ def check_normal_termination(
         cfg, _ = annotated.drain(cfg)
         if cfg.failed:
             continue
-        view = _live_view(history, cfg.atoms, cfg.builtins, cfg.tokens)
+        view = _live_view(cfg, goal_vars)
         history.cut(depth)
         first = history.find(view)
         if first is not None:
@@ -170,7 +170,7 @@ def probe_solve_orders(
             children.append((annotated.solve_at(cfg, i), None, applies, trace + (label,)))
         for firing, child in annotated.successors(program, cfg, fresh):
             label = ("apply", firing.rule.name, firing.idents)
-            child_view = _live_view(history, child.atoms, child.builtins, child.tokens)
+            child_view = _live_view(child, goal_vars)
             first = history.find(child_view)
             if first is not None:
                 return ProbeReport(
@@ -200,10 +200,10 @@ def diff_answer_sets(left: AnswerSet, right: AnswerSet) -> AnswerDiff:
     # a matched right final is skipped, so it is matched once
     rights = StateIndex(left.goal_vars)
     for fs in right.finals:
-        rights.push(rights.entry(fs.atoms, fs.builtins, fs.tokens))
+        rights.push(fs)
     only_left, matched = [], set()
     for answer, fs in zip(left.answers, left.finals):
-        hit = rights.find(rights.entry(fs.atoms, fs.builtins, fs.tokens), matched)
+        hit = rights.find(fs, matched)
         if hit is None:
             only_left.append(answer.text)
         else:

@@ -21,14 +21,16 @@ class replaced by one class variable: two satisfiable stores over finite
 trees are equivalent under a renaming iff their facts correspond. Callers
 keep the search off most pairs of states through ``state_fingerprint``, a
 key that no renaming the check allows can change (the symmetry reduction
-of explicit-state model checking); the per-variable profiles behind the
-key and the identifiers' token roles prune the candidates, as in
-individualization and refinement (McKay & Piperno, JSC 2014).
+of explicit-state model checking). Both read a state once per set of
+fixed variables, as a ``Reading``: its variable profiles, token roles and
+atom labels, which key the atoms in the search, as the initial colouring
+keys individualization and refinement (McKay & Piperno, JSC 2014).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from typing import Dict, Optional
 
 from .constraints import Store, stores_equivalent
@@ -36,11 +38,9 @@ from .terms import Compound, Equation, FalseConstraint, Var, rename_vars, vars_o
 from .syntax import IdAtom, Token, clean_tokens, print_item
 
 
-def _match_term(ta, tb, rho: Dict, fixed, pa=None, pb=None) -> Optional[Dict]:
-    """Extend the injective variable map rho so that ta renamed equals tb.
-
-    With profile maps pa and pb, a variable is only mapped to one with the
-    same profile, or none. rho itself is never changed."""
+def _match_term(ta, tb, rho: Dict, fixed) -> Optional[Dict]:
+    """Extend the injective variable map rho so that ta renamed equals tb;
+    rho itself is never changed."""
     out = dict(rho)
     stack = [(ta, tb)]
     while stack:
@@ -52,7 +52,7 @@ def _match_term(ta, tb, rho: Dict, fixed, pa=None, pb=None) -> Optional[Dict]:
             elif ta in fixed or tb in fixed:
                 if ta != tb:
                     return None
-            elif tb in out.values() or (pa is not None and pa.get(ta) != pb.get(tb)):
+            elif tb in out.values():
                 return None
             else:
                 out[ta] = tb
@@ -78,13 +78,13 @@ def _token_roles(tokens) -> Dict:
     return {i: tuple(sorted(r)) for i, r in roles.items()}
 
 
-def _item(part, term, ident, roles):
-    """A search item keyed by part, shape and roles; one with roles never commits."""
+def _item(part, term, ident, roles, label=None):
+    """A search item keyed by part, label (or shape) and roles; one with roles never commits."""
     r = roles.get(ident, ())
-    return (part, term.functor, len(term.args), r), term, ident, None if r else 0
+    return (part, label or (term.functor, len(term.args)), r), term, ident, None if r else 0
 
 
-def _search(items, cands, tokens_a, tokens_b, fixed=frozenset(), pa=None, pb=None) -> bool:
+def _search(items, cands, tokens_a, tokens_b, fixed=frozenset()) -> bool:
     """Is there one injective renaming of the variables, the identity on
     ``fixed``, and one injective map of the identifiers under which each
     item ``(key, term, ident, slack)`` equals a distinct candidate with
@@ -138,7 +138,7 @@ def _search(items, cands, tokens_a, tokens_b, fixed=frozenset(), pa=None, pb=Non
         for _, term_b, ident_b, _ in rest:
             if ident_b in used:
                 continue
-            r2 = _match_term(term, term_b, rho, fixed, pa, pb)
+            r2 = _match_term(term, term_b, rho, fixed)
             if r2 is None:
                 continue
             idmap[ident] = ident_b
@@ -158,40 +158,6 @@ def _search(items, cands, tokens_a, tokens_b, fixed=frozenset(), pa=None, pb=Non
         else:
             stack.pop()
     return False
-
-
-def _state_items(atoms, store: Store, tokens, profiles, fixed):
-    """A non-failed state's search items, cleaned tokens and profiles
-    (computed when None). The items are the atoms and one fact
-    ``v = value`` per variable of ``store.constrained_vars()``: the value
-    is v's binding in ``solved()`` with each free class replaced by one
-    class variable, so it depends on no equation order, orientation or
-    batching. A fact has a slack of 1, its variable: the search reaches
-    the facts on fixed and atom variables once these are mapped, and
-    takes their one candidate by identifier, so only the other facts are
-    keyed, by their labels.
-    """
-    tokens = clean_tokens(tokens, atoms)
-    if profiles is None:
-        profiles = var_profiles(atoms, store, fixed)
-    roles = _token_roles(tokens)
-    items = [_item("atom", a.atom, a.ident, roles) for a in atoms]
-    sigma = store.solved()
-    cls = {v: _ClassVar(v.name) for v in store.constrained_vars() if v not in sigma}
-    reached = fixed | vars_of([a.atom for a in atoms])
-    for v in sorted(store.constrained_vars(), key=lambda v: v.name):
-        t = sigma.get(v, v)
-        fact = Compound("=", (v, cls[t] if isinstance(t, Var) else rename_vars(t, cls)))
-        items.append((None if v in reached else _label(fact, profiles), fact, v, 1))
-    return items, tokens, profiles
-
-
-def shape_key(atoms, store: Store):
-    """The multiset of atom shapes, which equivalent states share, as a
-    hashable key; None for every failed state."""
-    if store.failed:
-        return None
-    return tuple(sorted((a.atom.functor, len(a.atom.args)) for a in atoms))
 
 
 def var_profiles(atoms, store: Store, fixed) -> Dict[Var, tuple]:
@@ -247,45 +213,72 @@ def _multiset(items) -> frozenset:
     return frozenset(Counter(items).items())
 
 
+class Reading:
+    """A non-failed state read for one fixed set: its ``var_profiles``, cleaned
+    tokens, identifiers' token roles, atom labels and, on first use, search items."""
+
+    def __init__(self, atoms, store: Store, tokens, fixed: frozenset):
+        self.atoms, self.store, self.fixed = atoms, store, fixed
+        self.profiles = var_profiles(atoms, store, fixed)
+        self.tokens = clean_tokens(tokens, atoms)
+        self.roles = _token_roles(self.tokens)
+        self.labels = {a.ident: _label(a.atom, self.profiles) for a in atoms}
+
+    @cached_property
+    def items(self) -> list:
+        """The atoms, keyed by label and token roles, and one fact
+        ``v = value`` per variable of ``store.constrained_vars()``: the
+        value is v's binding in ``solved()`` with each free class replaced
+        by one class variable, so it depends on no equation order,
+        orientation or batching. A fact has a slack of 1, its variable:
+        the search reaches the facts on fixed and atom variables once these
+        are mapped, and takes their one candidate by identifier, so only
+        the other facts are keyed, by their labels."""
+        items = [
+            _item("atom", a.atom, a.ident, self.roles, self.labels[a.ident])
+            for a in self.atoms
+        ]
+        store, sigma = self.store, self.store.solved()
+        cls = {v: _ClassVar(v.name) for v in store.constrained_vars() if v not in sigma}
+        reached = self.fixed | vars_of([a.atom for a in self.atoms])
+        for v in sorted(store.constrained_vars(), key=lambda v: v.name):
+            t = sigma.get(v, v)
+            fact = Compound("=", (v, cls[t] if isinstance(t, Var) else rename_vars(t, cls)))
+            items.append((None if v in reached else _label(fact, self.profiles), fact, v, 1))
+        return items
+
+
 def state_fingerprint(atoms, store: Store, tokens, fixed):
     """A hashable key that is equal for any two states
-    ``states_equivalent_mod`` identifies, and the state's ``var_profiles``.
+    ``states_equivalent_mod`` identifies, and the state's ``Reading``.
 
-    The key combines three multisets: the atoms with every variable
-    replaced by its profile, each paired with its token roles; the
-    profiles themselves; and the cleaned tokens over those atom labels.
-    All failed states share one key.
+    The key combines three multisets: the atom labels, each paired with
+    its token roles; the profiles; and the cleaned tokens over the atom
+    labels. All failed states share one key and have no reading.
     """
     if store.failed:
-        return None, {}
-    profiles = var_profiles(atoms, store, fixed)
-    tokens = clean_tokens(tokens, atoms)
-    roles = _token_roles(tokens)
-    labels = {a.ident: _label(a.atom, profiles) for a in atoms}
+        return None, None
+    r = Reading(atoms, store, tokens, frozenset(fixed))
     key = (
-        _multiset((labels[a.ident], roles.get(a.ident, ())) for a in atoms),
-        _multiset(profiles.values()),
-        _multiset((t.rule_name, tuple(labels[i] for i in t.idents)) for t in tokens),
+        _multiset((r.labels[a.ident], r.roles.get(a.ident, ())) for a in atoms),
+        _multiset(r.profiles.values()),
+        _multiset((t.rule_name, tuple(r.labels[i] for i in t.idents)) for t in r.tokens),
     )
-    return key, profiles
+    return key, r
 
 
 def states_equivalent_mod(
     chr_a, builtins_a, tokens_a, chr_b, builtins_b, tokens_b, fixed_vars,
-    profiles_a=None, profiles_b=None,
+    reading_a=None, reading_b=None,
 ) -> bool:
     """Comparison modulo renaming of variables outside fixed_vars and of
-    atom identifiers. Failed states are all identified with each other.
-
-    ``profiles_a`` and ``profiles_b`` are the states' ``var_profiles`` for
-    the same fixed variables, computed here when not given; they only
-    prune the search and never change its answer."""
+    atom identifiers, all failed states alike; readings are made if not given."""
     if builtins_a.failed or builtins_b.failed:
         return builtins_a.failed and builtins_b.failed
     fixed = frozenset(fixed_vars)
-    items, ta, pa = _state_items(chr_a, builtins_a, tokens_a, profiles_a, fixed)
-    cands, tb, pb = _state_items(chr_b, builtins_b, tokens_b, profiles_b, fixed)
-    return _search(items, cands, ta, tb, fixed, pa, pb)
+    a = reading_a or Reading(chr_a, builtins_a, tokens_a, fixed)
+    b = reading_b or Reading(chr_b, builtins_b, tokens_b, fixed)
+    return _search(a.items, b.items, a.tokens, b.tokens, fixed)
 
 
 def _multiset_equal(xs, ys) -> bool:

@@ -14,7 +14,8 @@ keep the first. ``StateIndex`` is the one lookup modulo renaming, which the
 verifiers' histories and answer diff use too: a state meets only the held
 states of its multiset of atom shapes, gets a fingerprint
 (``state_fingerprint``) only when its shape is held, and meets the exact
-``states_equivalent_mod`` only on equal fingerprints, in push order.
+``states_equivalent_mod`` only on equal fingerprints, in push order. Each
+``State`` keeps its fingerprint for the fixed set last asked for.
 
 Every search here and in ``analysis`` is a loop body over one ``Walk``, a
 depth-first walk of the derivation tree. Budgets make every search total:
@@ -25,17 +26,12 @@ instead of producing wrong answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional
 
 from ..constraints import Store, canonical_locals, project, solve
-from ..equivalence import (
-    configs_correspond,
-    shape_key,
-    state_fingerprint,
-    states_equivalent_mod,
-)
+from ..equivalence import configs_correspond, state_fingerprint, states_equivalent_mod
 from ..syntax import annotate, print_item, strip_annotations
 from ..terms import FreshSupply, apply_subst, vars_of
 from . import annotated, standard
@@ -83,74 +79,85 @@ class Walk:
         return True
 
 
+@dataclass(frozen=True)
+class State:
+    """Atoms, built-in store and token store, with the fingerprint and
+    reading last computed for the state and their fixed variables."""
+
+    atoms: tuple
+    builtins: Store
+    tokens: frozenset
+    _read: tuple = field(default=(None, None, None), compare=False, repr=False)
+
+    @property
+    def failed(self) -> bool:
+        return self.builtins.failed
+
+    @cached_property
+    def shape(self):
+        """The multiset of atom shapes, which equivalent states share, as a
+        hashable key; None for every failed state."""
+        if self.failed:
+            return None
+        return tuple(sorted((a.atom.functor, len(a.atom.args)) for a in self.atoms))
+
+    def fingerprint(self, fixed: frozenset):
+        """The ``state_fingerprint`` key and reading, kept per fixed set."""
+        if self._read[0] != fixed:
+            key, reading = state_fingerprint(self.atoms, self.builtins, self.tokens, fixed)
+            hash(key)  # frozensets keep their hash: unequal keys then differ fast
+            object.__setattr__(self, "_read", (fixed, key, reading))
+        return self._read[1:]
+
+
 class StateIndex:
     """States held by position, looked up modulo renaming away from ``fixed``.
 
-    A state goes in as an ``entry``, which keeps its fingerprint once one is
-    computed: when the state first meets another of its shape.
-    """
+    A state is fingerprinted when it first meets another of its shape."""
 
     def __init__(self, fixed):
         self.fixed = frozenset(fixed)
-        self._held: list = []  # position -> entry
+        self._held: List[State] = []
         self._shapes: dict = {}  # shape -> the positions holding it, rising
 
-    def entry(self, atoms, builtins, tokens) -> list:
-        """The state, its shape and its fingerprint, None until needed."""
-        return [(atoms, builtins, tokens), shape_key(atoms, builtins), None]
-
-    def _fingerprint(self, entry):
-        if entry[2] is None:
-            key, _ = entry[2] = state_fingerprint(*entry[0], self.fixed)
-            hash(key)  # frozensets keep their hash: unequal keys then differ fast
-        return entry[2]
-
-    def find(self, entry, skip=()) -> Optional[int]:
+    def find(self, state: State, skip=()) -> Optional[int]:
         """The position of the first held state outside ``skip`` that is
-        equivalent to the entry's."""
-        positions = self._shapes.get(entry[1])
+        equivalent to ``state``."""
+        positions = self._shapes.get(state.shape)
         if not positions:
             return None
-        key, profiles = self._fingerprint(entry)
+        key, reading = state.fingerprint(self.fixed)
         for pos in positions:
             old = self._held[pos]
-            old_key, old_profiles = old[2] or self._fingerprint(old)
+            old_key, old_reading = old.fingerprint(self.fixed)
             if old_key == key and pos not in skip and states_equivalent_mod(
-                *entry[0], *old[0], self.fixed, profiles, old_profiles
+                state.atoms, state.builtins, state.tokens,
+                old.atoms, old.builtins, old.tokens, self.fixed, reading, old_reading,
             ):
                 return pos
         return None
 
-    def push(self, entry) -> None:
-        self._shapes.setdefault(entry[1], []).append(len(self._held))
-        self._held.append(entry)
+    def push(self, state: State) -> None:
+        self._shapes.setdefault(state.shape, []).append(len(self._held))
+        self._held.append(state)
 
     def cut(self, n: int) -> None:
         """Keep the first ``n`` states."""
         while len(self._held) > n:
-            self._shapes[self._held.pop()[1]].pop()
+            self._shapes[self._held.pop().shape].pop()
 
-    def add(self, atoms, builtins, tokens) -> bool:
+    def add(self, state: State) -> bool:
         """Push the state unless an equivalent one is held; return whether
         it was pushed."""
-        entry = self.entry(atoms, builtins, tokens)
-        if self.find(entry) is not None:
+        if self.find(state) is not None:
             return False
-        self.push(entry)
+        self.push(state)
         return True
-
-
-@dataclass(frozen=True)
-class FinalState:
-    atoms: tuple
-    builtins: Store
-    tokens: frozenset
-    failed: bool
 
 
 @dataclass
 class ExploreResult:
-    finals: List[FinalState]
+    finals: List[State]
     truncated: bool
     expanded: int
     goal_vars: frozenset
@@ -176,20 +183,20 @@ def explore(
     program = fit_program(program, semantics)
     goal_vars = frozenset(vars_of(tuple(goal)))
     fresh = FreshSupply("_R", goal_vars)
-    finals: List[FinalState] = []
+    finals: List[State] = []
     visited = StateIndex(goal_vars)
     walk = Walk(mod.initial(goal), max_applies, max_states)
     for cfg, depth in walk:
         cfg, _ = mod.drain(cfg)
         if cfg.failed:
-            finals.append(FinalState((), cfg.builtins, frozenset(), True))
+            finals.append(State((), cfg.builtins, frozenset()))
             continue
-        atoms = mod.chr_atoms(cfg)
-        if dedup and not visited.add(atoms, cfg.builtins, cfg.tokens):
+        state = State(mod.chr_atoms(cfg), cfg.builtins, cfg.tokens)
+        if dedup and not visited.add(state):
             continue
         succ = mod.successors(program, cfg, fresh)
         if not succ:
-            finals.append(FinalState(atoms, cfg.builtins, cfg.tokens, False))
+            finals.append(state)
         walk.expand(depth, [child for _, child in succ])
     return ExploreResult(finals, walk.truncated, walk.expanded, goal_vars)
 
@@ -221,7 +228,7 @@ class AnswerSet:
         return tuple(a.text for a in self.answers)
 
 
-def render_answer(final: FinalState, goal_vars) -> QualifiedAnswer:
+def render_answer(final: State, goal_vars) -> QualifiedAnswer:
     if final.failed:
         return QualifiedAnswer((), (), True)
     store = final.builtins

@@ -27,7 +27,9 @@ A call that raises is recorded as its exception. The families:
   wrong, run through ``chrkit.cli.main`` as they are, with the files they
   write.
 
-Run as a script, this writes tests/fixtures/snapshot.jsonl:
+Run as a script, this writes tests/fixtures/snapshot.jsonl and prints,
+per family, the exact checks (hits and misses) and the fingerprints that
+recording it made (``exact_checks``):
 
     PYTHONPATH=src python3 tests/snapshot.py
 
@@ -267,15 +269,6 @@ def _plain(value):
     return json.loads(json.dumps(value))
 
 
-def _report(call):
-    """The call's report as plain data, or the exception it raised."""
-    try:
-        result = call()
-    except (RecursionError, ValueError) as exc:
-        return {"error": f"{type(exc).__name__}: {' '.join(str(exc).split())}"}
-    return _plain(dataclasses.asdict(result))
-
-
 def _error(exc) -> dict:
     return {"error": f"{type(exc).__name__}: {' '.join(str(exc).split())}"}
 
@@ -367,22 +360,28 @@ def record(family: str, seed: int) -> dict:
 @contextlib.contextmanager
 def exact_checks():
     """Count the exact state checks that the search and the verifiers
-    make, per outcome. Each runs between two states with equal
-    fingerprints, so a miss is a fingerprint-equal pair that is not
-    equivalent."""
-    counts = {"hits": 0, "misses": 0}
-    original = search.states_equivalent_mod
+    make, per outcome, and the state fingerprints they compute. Each
+    check runs between two states with equal fingerprints, so a miss is a
+    fingerprint-equal pair that is not equivalent."""
+    counts = {"hits": 0, "misses": 0, "fingerprints": 0}
+    original, fingerprint = search.states_equivalent_mod, search.state_fingerprint
 
     def counted(*args):
         same = original(*args)
         counts["hits" if same else "misses"] += 1
         return same
 
+    def counted_fingerprint(*args):
+        counts["fingerprints"] += 1
+        return fingerprint(*args)
+
     search.states_equivalent_mod = analysis.states_equivalent_mod = counted
+    search.state_fingerprint = counted_fingerprint
     try:
         yield counts
     finally:
         search.states_equivalent_mod = analysis.states_equivalent_mod = original
+        search.state_fingerprint = fingerprint
 
 
 def line(rec: dict) -> str:
@@ -413,7 +412,11 @@ if __name__ == "__main__":
                     left_out.append((family, seed))
                 finally:
                     signal.setitimer(signal.ITIMER_REAL, 0)
-        print(f"{family}: {count} cases, exact checks {counts}", file=sys.stderr)
+        print(
+            f"{family}: {count} cases, exact checks {counts['hits']} hits / "
+            f"{counts['misses']} misses, {counts['fingerprints']} fingerprints",
+            file=sys.stderr,
+        )
     SNAPSHOT.write_text("\n".join(lines) + "\n")
     print(
         f"wrote {len(lines)} records ({SNAPSHOT.stat().st_size} bytes) to {SNAPSHOT} "

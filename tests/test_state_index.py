@@ -1,8 +1,10 @@
 """One ``StateIndex`` for every lookup modulo renaming: the cycle
 histories and the answer diff against the keyed scans they replace, kept
-verbatim, and the index itself against a list scan."""
+verbatim, the index itself against a list scan, and gates on the
+fingerprints and search items each ``State`` is read for."""
 
 import contextlib
+import functools
 import sys
 from typing import Optional
 
@@ -15,7 +17,7 @@ from chrkit.equivalence import state_fingerprint, states_equivalent_mod
 from chrkit.semantics import annotated, search
 from chrkit.semantics.search import (
     AnswerSet,
-    FinalState,
+    State,
     StateIndex,
     Walk,
     fit_program,
@@ -154,7 +156,7 @@ def diff_answer_sets(left: AnswerSet, right: AnswerSet) -> AnswerDiff:
         raise ValueError("answer sets come from different goals")
     goal_vars = left.goal_vars
 
-    def keyed(fs: FinalState):
+    def keyed(fs: State):
         return _keyed((fs.atoms, fs.builtins, fs.tokens), goal_vars)
 
     # a matched right final is set to None, so it is matched once
@@ -234,49 +236,58 @@ def test_the_verifiers_report_what_the_keyed_scans_reported(family, rng):
 
 @st.composite
 def index_runs(draw):
-    """Fixed variables and a sequence of pushes, lookups (each skipping
-    some positions), adds and cuts over a few states and equivalent copies
-    of them."""
-    fixed = draw(fixed_st)
+    """Two different sets of fixed variables, a pool of ``State`` objects
+    (a few states and equivalent copies of them) and a sequence of pushes,
+    lookups (each skipping some positions), adds and cuts, each on the
+    index of one of the two sets, so that one object passes through both
+    indexes and back."""
+    fixeds = draw(st.lists(fixed_st, min_size=2, max_size=2, unique=True))
     pool = draw(st.lists(states(), min_size=1, max_size=4))
+    pool += [draw(twins(draw(st.sampled_from(pool)), draw(st.sampled_from(fixeds))))[0]
+             for _ in range(draw(st.integers(0, 4)))]
+    pool = [State(atoms, store, tokens) for atoms, _, store, tokens in pool]
     ops = []
-    for _ in range(draw(st.integers(1, 12))):
+    for _ in range(draw(st.integers(1, 16))):
+        side = draw(st.integers(0, 1))
         op = draw(st.sampled_from(("push", "find", "add", "cut")))
         if op == "cut":
-            ops.append((op, draw(st.integers(0, 8)), ()))
+            ops.append((side, op, draw(st.integers(0, 8)), ()))
             continue
-        state = draw(st.sampled_from(pool))
-        if draw(st.booleans()):
-            state, _ = draw(twins(state, fixed))
-        ops.append((op, state, draw(st.frozensets(st.integers(0, 8))) if op == "find" else ()))
-    return fixed, ops
+        skip = draw(st.frozensets(st.integers(0, 8))) if op == "find" else ()
+        ops.append((side, op, draw(st.sampled_from(pool)), skip))
+    return fixeds, ops
 
 
 @settings(max_examples=300, deadline=None)
 @given(index_runs())
 def test_the_index_agrees_with_a_list_scan(run):
-    fixed, ops = run
-    index, held = StateIndex(fixed), []
-    for op, arg, skip in ops:
+    fixeds, ops = run
+    indexes, helds = [StateIndex(f) for f in fixeds], ([], [])
+    for side, op, state, skip in ops:
+        index, held, fixed = indexes[side], helds[side], fixeds[side]
         if op == "cut":
-            index.cut(arg)
-            del held[arg:]
+            index.cut(state)
+            del held[state:]
             continue
-        atoms, _, store, tokens = arg
+        atoms, store, tokens = state.atoms, state.builtins, state.tokens
         first = next((
             i for i, (a, b, t) in enumerate(held)
             if i not in skip and states_equivalent_mod(atoms, store, tokens, a, b, t, fixed)
         ), None)
+        # a fresh copy, read for no fixed set yet, is found where the object is
+        assert index.find(State(atoms, store, tokens), skip) == first
         if op == "add":
-            assert index.add(atoms, store, tokens) == (first is None)
+            assert index.add(state) == (first is None)
             if first is None:
                 held.append((atoms, store, tokens))
-            continue
-        entry = index.entry(atoms, store, tokens)
-        assert index.find(entry, skip) == first
-        if op == "push":
-            index.push(entry)
-            held.append((atoms, store, tokens))
+        else:
+            assert index.find(state, skip) == first
+            if op == "push":
+                index.push(state)
+                held.append((atoms, store, tokens))
+        # whatever the object was read for before, its key is this index's
+        key, _ = state_fingerprint(atoms, store, tokens, fixed)
+        assert state.fingerprint(index.fixed)[0] == key
 
 
 # ------------------------------------------------------------ work gate
@@ -303,9 +314,41 @@ def test_a_branch_of_distinct_shapes_fingerprints_no_view():
 def test_the_diff_checks_a_matched_final_no_more():
     # the two answers share a shape and a fingerprint: once the first left
     # final has matched the first right one, the second left final is only
-    # checked against the second right one
+    # checked against the second right one. explore fingerprinted all four
+    # finals under the goal variables, so the diff fingerprints none
     program = parse_program("a @ h <=> r(W, V), r(V, W). b @ h <=> r(W, W), r(V, V).")
     left, right = (qualified_answers(program, parse_goal("h"), s) for s in ("standard", "annotated"))
-    diff, checks, _ = _run(search, lambda: analysis.diff_answer_sets(left, right))
-    assert diff.equal and checks == 2
+    diff, checks, prints = _run(search, lambda: analysis.diff_answer_sets(left, right))
+    assert diff.equal and checks == 2 and prints == 0
     assert _run(REFERENCE, lambda: diff_answer_sets(left, right)) == (diff, 2, 4)
+
+
+@contextlib.contextmanager
+def items_built():
+    """Record each ``Reading`` whose search items are built."""
+    built = []
+    prop = equivalence.Reading.items
+
+    def build(reading):
+        built.append(reading)
+        return prop.func(reading)
+
+    counting = functools.cached_property(build)
+    counting.__set_name__(equivalence.Reading, "items")
+    equivalence.Reading.items = counting
+    try:
+        yield built
+    finally:
+        equivalence.Reading.items = prop
+
+
+def test_independent_atoms_build_each_states_items_once():
+    # five interchangeable atoms: a state keeps its reading, so its items
+    # are built at most once however many exact checks it meets (building
+    # them for both sides of every check made 1,136)
+    program = parse_program("r @ p(X) <=> q(X). v @ q(Y) <=> s(Y).")
+    goal = parse_goal(", ".join(f"p(X{i})" for i in range(5)))
+    with items_built() as built:
+        res, checks, _ = _run(search, lambda: search.explore(program, goal))
+    assert (res.expanded, checks) == (811, 568)
+    assert len(built) <= 811

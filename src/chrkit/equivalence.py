@@ -12,9 +12,12 @@ Two gradations are used throughout the toolkit:
   semantics, used by the lockstep runner.
 
 Both ``states_equivalent_mod`` and ``rules_isomorphic`` are decided by
-one backtracking search over an explicit stack (``_search``): each item
+one backtracking search over an explicit stack (``_run``): each item
 of one side maps to an unused candidate of the other under one injective
 renaming, and a token is checked as soon as its identifiers are mapped.
+The search needs the candidate pools of one side (``_pools``) and the
+item order and token schedule of the other (``_plan``); ``_search``
+builds both for a pair of rules on the spot.
 A state's built-in store enters the search as facts, one ``v = value``
 per constrained variable, read off its idempotent mgu with each free
 class replaced by one class variable: two satisfiable stores over finite
@@ -24,7 +27,10 @@ key that no renaming the check allows can change (the symmetry reduction
 of explicit-state model checking). Both read a state once per set of
 fixed variables, as a ``Reading``: its variable profiles, token roles and
 atom labels, which key the atoms in the search, as the initial colouring
-keys individualization and refinement (McKay & Piperno, JSC 2014).
+keys individualization and refinement (McKay & Piperno, JSC 2014). A
+reading also holds its search plan, built on its first exact check: its
+items, their pools and their order, so a state that meets many checks
+pays for its setup once.
 """
 
 from __future__ import annotations
@@ -34,7 +40,9 @@ from functools import cached_property
 from typing import Dict, Optional
 
 from .constraints import Store, stores_equivalent
-from .terms import Compound, Equation, FalseConstraint, Var, rename_vars, vars_of, walk
+from .terms import (
+    Compound, Equation, FalseConstraint, Var, rename_vars, vars_in_order, vars_of, walk,
+)
 from .syntax import IdAtom, Token, clean_tokens, print_item
 
 
@@ -68,6 +76,8 @@ def _match_term(ta, tb, rho: Dict, fixed) -> Optional[Dict]:
 class _ClassVar(Var):
     """Stands for a free class of a store; equal to no named variable."""
 
+    __slots__ = ()
+
 
 def _token_roles(tokens) -> Dict:
     """Each identifier's sorted ``(rule name, position)`` pairs over the tokens."""
@@ -84,38 +94,51 @@ def _item(part, term, ident, roles, label=None):
     return (part, label or (term.functor, len(term.args)), r), term, ident, None if r else 0
 
 
-def _search(items, cands, tokens_a, tokens_b, fixed=frozenset()) -> bool:
-    """Is there one injective renaming of the variables, the identity on
-    ``fixed``, and one injective map of the identifiers under which each
-    item ``(key, term, ident, slack)`` equals a distinct candidate with
-    its key, and ``tokens_a`` becomes ``tokens_b``?
-
-    Depth first over an explicit stack, the items are mapped fewest
-    candidates first, each followed by the store facts (items identified
-    by a variable) on its variables; facts on fixed variables come first
-    and the others last. A fact on a mapped or fixed variable has one
-    candidate, the fact on the image. A token is checked as soon as its
-    last identifier is mapped. An item commits to its first matching
-    candidate when the match maps at most ``slack`` new variables, which
-    occur in no other item: every candidate it could match interchanges
-    with that one.
-    """
+def _pools(cands):
+    """The candidates of one side by key, and by identifier."""
     pools, by_ident = {}, {}
     for c in cands:
         pools.setdefault(c[0], []).append(c)
         by_ident[c[2]] = c
-    if len(tokens_a) != len(tokens_b) or len(items) != len(by_ident):
-        return False
+    return pools, by_ident
+
+
+def _plan(items, pools, tokens, fixed):
+    """One side's items in search order, and its tokens by the index of the
+    item that maps their last identifier.
+
+    The items go fewest candidates in ``pools`` first, each followed by
+    the store facts (items identified by a variable) on its variables;
+    facts on fixed variables come first and the others last. Any order
+    gives the same answer, so the order may come from either side's pools."""
     facts = {it[2]: it for it in items if isinstance(it[2], Var)}
     order = [facts.pop(v) for v in list(facts) if v in fixed]
     for it in sorted(items, key=lambda it: len(pools.get(it[0], ()))):
         if not isinstance(it[2], Var):
-            order += [it] + [facts.pop(v) for v in vars_of(it[1]) if v in facts]
-    items = order + list(facts.values())
-    pos = {it[2]: k for k, it in enumerate(items) if not isinstance(it[2], Var)}
+            order += [it] + [facts.pop(v) for v in vars_in_order(it[1]) if v in facts]
+    order += facts.values()
+    pos = {it[2]: k for k, it in enumerate(order) if not isinstance(it[2], Var)}
     due: Dict[int, list] = {}
-    for t in tokens_a:
+    for t in tokens:
         due.setdefault(max((pos[i] for i in t.idents), default=0), []).append(t)
+    return order, due
+
+
+def _run(items, due, pools, by_ident, tokens_a, tokens_b, fixed) -> bool:
+    """Is there one injective renaming of the variables, the identity on
+    ``fixed``, and one injective map of the identifiers under which each
+    item ``(key, term, ident, slack)``, taken in ``_plan`` order, equals a
+    distinct candidate with its key, and ``tokens_a`` becomes ``tokens_b``?
+
+    Depth first over an explicit stack. A fact on a mapped or fixed
+    variable has one candidate, the fact on the image. A token is checked
+    as soon as its last identifier is mapped. An item commits to its first
+    matching candidate when the match maps at most ``slack`` new
+    variables, which occur in no other item: every candidate it could
+    match interchanges with that one.
+    """
+    if len(tokens_a) != len(tokens_b) or len(items) != len(by_ident):
+        return False
     if not items:
         return tokens_a == tokens_b
 
@@ -158,6 +181,12 @@ def _search(items, cands, tokens_a, tokens_b, fixed=frozenset()) -> bool:
         else:
             stack.pop()
     return False
+
+
+def _search(items, cands, tokens_a, tokens_b, fixed=frozenset()) -> bool:
+    """``_run`` over the items planned against the candidates' pools."""
+    pools, by_ident = _pools(cands)
+    return _run(*_plan(items, pools, tokens_a, fixed), pools, by_ident, tokens_a, tokens_b, fixed)
 
 
 def var_profiles(atoms, store: Store, fixed) -> Dict[Var, tuple]:
@@ -215,7 +244,8 @@ def _multiset(items) -> frozenset:
 
 class Reading:
     """A non-failed state read for one fixed set: its ``var_profiles``, cleaned
-    tokens, identifiers' token roles, atom labels and, on first use, search items."""
+    tokens, identifiers' token roles, atom labels and, on first use, search
+    items with their pools and plan."""
 
     def __init__(self, atoms, store: Store, tokens, fixed: frozenset):
         self.atoms, self.store, self.fixed = atoms, store, fixed
@@ -247,6 +277,18 @@ class Reading:
             items.append((None if v in reached else _label(fact, self.profiles), fact, v, 1))
         return items
 
+    @cached_property
+    def pools(self) -> tuple:
+        """The items as candidates, by key and by identifier."""
+        return _pools(self.items)
+
+    @cached_property
+    def plan(self) -> tuple:
+        """The items in search order, planned against the reading's own
+        pools, and its tokens as ``_plan`` schedules them: on equal
+        fingerprints both sides' atom pools have the same sizes."""
+        return _plan(self.items, self.pools[0], self.tokens, self.fixed)
+
 
 def state_fingerprint(atoms, store: Store, tokens, fixed):
     """A hashable key that is equal for any two states
@@ -272,13 +314,17 @@ def states_equivalent_mod(
     reading_a=None, reading_b=None,
 ) -> bool:
     """Comparison modulo renaming of variables outside fixed_vars and of
-    atom identifiers, all failed states alike; readings are made if not given."""
+    atom identifiers, all failed states alike; readings are made if not given.
+
+    The relation is symmetric, so the search maps the second state onto the
+    first: a ``StateIndex`` passes its held state second, and that state's
+    plan then serves every later lookup, while each new state only pools."""
     if builtins_a.failed or builtins_b.failed:
         return builtins_a.failed and builtins_b.failed
     fixed = frozenset(fixed_vars)
     a = reading_a or Reading(chr_a, builtins_a, tokens_a, fixed)
     b = reading_b or Reading(chr_b, builtins_b, tokens_b, fixed)
-    return _search(a.items, b.items, a.tokens, b.tokens, fixed)
+    return _run(*b.plan, *a.pools, b.tokens, a.tokens, fixed)
 
 
 def _multiset_equal(xs, ys) -> bool:

@@ -56,7 +56,7 @@ def _identical(s, t, mgu) -> bool:
             continue
         s, t = walk(s, mgu), walk(t, mgu)
         if type(s) is Var or type(t) is Var:
-            if not (type(s) is type(t) and s.name == t.name):
+            if s is not t:
                 return False
         elif s.functor != t.functor or len(s.args) != len(t.args):
             return False

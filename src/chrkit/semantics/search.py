@@ -14,8 +14,9 @@ keep the first. ``StateIndex`` is the one lookup modulo renaming, which the
 verifiers' histories and answer diff use too: a state meets only the held
 states of its multiset of atom shapes, gets a fingerprint
 (``state_fingerprint``) only when its shape is held, and meets the exact
-``states_equivalent_mod`` only on equal fingerprints, in push order. Each
-``State`` keeps its fingerprint for the fixed set last asked for.
+``states_equivalent_mod`` only on equal fingerprints, found by one dict
+lookup in its shape, in push order. Each ``State`` keeps its fingerprint
+for the fixed set last asked for.
 
 Every search here and in ``analysis`` is a loop body over one ``Walk``, a
 depth-first walk of the derivation tree. Budgets make every search total:
@@ -113,38 +114,56 @@ class State:
 class StateIndex:
     """States held by position, looked up modulo renaming away from ``fixed``.
 
-    A state is fingerprinted when it first meets another of its shape."""
+    Each shape holds its states by fingerprint key. A state is
+    fingerprinted when it first meets another of its shape."""
 
     def __init__(self, fixed):
         self.fixed = frozenset(fixed)
         self._held: List[State] = []
-        self._shapes: dict = {}  # shape -> the positions holding it, rising
+        self._reads: list = []  # position -> its (key, reading), once keyed
+        # shape -> [positions not keyed yet, {key: positions}], each rising
+        self._shapes: dict = {}
 
     def find(self, state: State, skip=()) -> Optional[int]:
         """The position of the first held state outside ``skip`` that is
         equivalent to ``state``."""
-        positions = self._shapes.get(state.shape)
-        if not positions:
+        bucket = self._shapes.get(state.shape)
+        if bucket is None:
             return None
+        fresh, keyed = bucket
+        # every position not keyed yet is above every keyed one
+        for pos in fresh:
+            self._reads[pos] = self._held[pos].fingerprint(self.fixed)
+            keyed.setdefault(self._reads[pos][0], []).append(pos)
+        fresh.clear()
         key, reading = state.fingerprint(self.fixed)
-        for pos in positions:
+        for pos in keyed.get(key, ()):
             old = self._held[pos]
-            old_key, old_reading = old.fingerprint(self.fixed)
-            if old_key == key and pos not in skip and states_equivalent_mod(
+            if pos not in skip and states_equivalent_mod(
                 state.atoms, state.builtins, state.tokens,
-                old.atoms, old.builtins, old.tokens, self.fixed, reading, old_reading,
+                old.atoms, old.builtins, old.tokens, self.fixed, reading, self._reads[pos][1],
             ):
                 return pos
         return None
 
     def push(self, state: State) -> None:
-        self._shapes.setdefault(state.shape, []).append(len(self._held))
+        self._shapes.setdefault(state.shape, ([], {}))[0].append(len(self._held))
         self._held.append(state)
+        self._reads.append(None)
 
     def cut(self, n: int) -> None:
         """Keep the first ``n`` states."""
         while len(self._held) > n:
-            self._shapes[self._held.pop().shape].pop()
+            shape, read = self._held.pop().shape, self._reads.pop()
+            fresh, keyed = self._shapes[shape]
+            if read is None:
+                fresh.pop()
+            else:
+                keyed[read[0]].pop()
+                if not keyed[read[0]]:
+                    del keyed[read[0]]
+            if not fresh and not keyed:
+                del self._shapes[shape]
 
     def add(self, state: State) -> bool:
         """Push the state unless an equivalent one is held; return whether

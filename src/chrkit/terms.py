@@ -2,8 +2,10 @@
 
 Terms are immutable: a variable (name starting with an uppercase letter or
 underscore) or a compound (lowercase functor plus argument tuple). Constants
-are zero-arity compounds. Unification always runs the occurs check, so the
-equational theory is the one of finite trees.
+are zero-arity compounds. Variables are interned, one object per name (the
+hash-consing of a term's leaves), so comparing or hashing one is a pointer
+operation and ``is`` agrees with ``==``. Unification always runs the occurs
+check, so the equational theory is the one of finite trees.
 
 No function here recurses over term depth, which a user's term or one
 built through a triangular substitution can make exceed the recursion
@@ -18,9 +20,37 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 
-@dataclass(frozen=True)
 class Var:
-    name: str
+    """A variable, interned: ``Var(name)`` gives the one object of its
+    class with that name, so ``==`` and ``hash`` are those of identity and
+    agree with ``is``. A subclass interns its own names apart."""
+
+    __slots__ = ("name",)
+    _interned: dict = {}  # name -> the variable, one dict per class
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._interned = {}
+
+    def __new__(cls, name: str):
+        v = cls._interned.get(name)
+        if v is None:
+            v = object.__new__(cls)
+            object.__setattr__(v, "name", name)
+            # one atomic call: of two threads interning a name, both get
+            # the object the first stored
+            v = cls._interned.setdefault(name, v)
+        return v
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to {attr!r} of an interned variable")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete {attr!r} of an interned variable")
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling intern the name again
+        return self.__class__, (self.name,)
 
     def __repr__(self):
         return f"Var({self.name})"
@@ -158,7 +188,7 @@ Subst = dict  # Var -> Term, triangular; use resolve() to read through chains
 def walk(t: Term, sub: Subst) -> Term:
     while isinstance(t, Var):
         nxt = sub.get(t)
-        if nxt is None or nxt == t:
+        if nxt is None or nxt is t:
             return t
         t = nxt
     return t
@@ -278,8 +308,6 @@ def unify(pairs, frozen=frozenset(), prefer=frozenset(), base: Optional[Subst] =
         if s is t:
             continue
         if isinstance(s, Var) and isinstance(t, Var):
-            if s.name == t.name:
-                continue
             if s in frozen and t in frozen:
                 return None
             if s in frozen:

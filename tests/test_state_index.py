@@ -352,3 +352,28 @@ def test_independent_atoms_build_each_states_items_once():
         res, checks, _ = _run(search, lambda: search.explore(program, goal))
     assert (res.expanded, checks) == (811, 568)
     assert len(built) <= 811
+
+
+def test_a_lookup_reads_only_the_held_keys_it_looks_up(monkeypatch):
+    # six interchangeable atoms: 2,917 lookups into shapes of up to 90
+    # states. A scan of the whole shape read a held key per position
+    # (89,151); the index keys each held state once, when another of its
+    # shape first meets it, and then goes to the query's key alone
+    reads, lookups, pushes = [0], [0], [0]
+    fingerprint, find, push = State.fingerprint, StateIndex.find, StateIndex.push
+
+    def counting(counter, method):
+        def counted(*args):
+            counter[0] += 1
+            return method(*args)
+        return counted
+
+    monkeypatch.setattr(State, "fingerprint", counting(reads, fingerprint))
+    monkeypatch.setattr(StateIndex, "find", counting(lookups, find))
+    monkeypatch.setattr(StateIndex, "push", counting(pushes, push))
+    program = parse_program("r @ p(X) <=> q(X). v @ q(Y) <=> s(Y).")
+    goal = parse_goal(", ".join(f"p(X{i})" for i in range(6)))
+    with counted(search, "states_equivalent_mod") as checks:
+        res = search.explore(program, goal)
+    assert (res.expanded, lookups[0], pushes[0], checks[0]) == (2917, 2917, 729, 2188)
+    assert reads[0] <= lookups[0] + pushes[0]

@@ -422,6 +422,20 @@ def test_a_dedup_hit_costs_term_matches_linear_in_the_state(monkeypatch, depth):
     assert all(hit and n < 3 * size for hit, n, size in checks)
 
 
+def test_equal_shaped_misses_stay_a_short_search(monkeypatch):
+    # every firing adds p(W), p(Y) and p(f(X)): many states share a
+    # fingerprint, and the few that are not equivalent must fail fast, not
+    # by a search over the bijections of the equal p atoms (this call took
+    # 108 s when p(f(X)) and p(W) drew candidates from one pool)
+    matches, checks = _count_matches(monkeypatch)
+    p = parse_program("r1 @ p(X) <=> b = b | p(W), p(Y), p(f(X)).")
+    res = explore(p, parse_goal("p(B), p(A)"), "standard", max_applies=5, max_states=300)
+    assert res.expanded == 301
+    assert len(checks) <= 233
+    assert sum(hit for hit, _, _ in checks) == 228
+    assert matches[0] <= 10_000
+
+
 @pytest.mark.parametrize("rules, goal, semantics", [
     # many equal s atoms told apart only by the tokens over them: an atom
     # draws candidates with its own token roles, and each token is checked

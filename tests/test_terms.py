@@ -1,8 +1,17 @@
 """Herbrand terms, unification, substitution application."""
 
+import contextlib
+import copy
+import io
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
+from chrkit.cli import main
+from chrkit.equivalence import _ClassVar
 from chrkit.terms import (
     Compound,
     Equation,
@@ -19,6 +28,8 @@ from chrkit.terms import (
     vars_of,
     walk,
 )
+
+from conftest import FIXTURES
 
 X, Y, Z, W = Var("X"), Var("Y"), Var("Z"), Var("W")
 a, b = const("a"), const("b")
@@ -152,6 +163,68 @@ def test_rename_apart_avoids_the_objects_own_names_by_default():
     renamed, mapping = rename_apart(f(Var("_V1"), X))
     assert mapping == {X: Var("_V2"), Var("_V1"): Var("_V3")}
     assert renamed == f(Var("_V3"), Var("_V2"))
+
+
+# ------------------------------------------------------- interned variables
+
+
+def test_a_name_gives_one_variable_per_class():
+    assert Var("X") is Var("X") is X
+    assert _ClassVar("X") is _ClassVar("X")
+    assert _ClassVar("X") != Var("X")
+    assert len({Var("X"), _ClassVar("X"), Var("X")}) == 2
+
+
+def test_copies_and_pickles_give_back_the_interned_variable():
+    for v in (X, _ClassVar("X")):
+        assert copy.copy(v) is v
+        assert copy.deepcopy(v) is v
+        assert pickle.loads(pickle.dumps(v)) is v
+    assert copy.deepcopy(f(X, (Y,))).args[0] is X
+
+
+def test_an_interned_variable_cannot_be_changed():
+    with pytest.raises(AttributeError):
+        X.name = "Y"
+    with pytest.raises(AttributeError):
+        del X.name
+    assert X.name == "X"
+    # slotted: a variable costs its name and no instance dict
+    assert not hasattr(X, "__dict__") and not hasattr(_ClassVar("X"), "__dict__")
+
+
+def test_threads_interning_one_name_get_one_variable():
+    # four threads, more than a small machine has cores, intern the same
+    # new names while the interpreter switches threads as often as it can;
+    # a lost race would hand two threads two objects for one name
+    names = [f"_Race{i}" for i in range(3000)]
+    got = [None] * 4
+
+    def intern(k):
+        got[k] = [Var(n) for n in names]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=intern, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(vs is not None and len(vs) == len(names) for vs in got)
+    assert all(all(a is b for a, b in zip(got[0], vs)) for vs in got[1:])
+
+
+def test_a_repeated_run_interns_no_new_name():
+    argv = ["run", str(FIXTURES / "chain.chr"), "--goal", "p(X), p(Y)", "--json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+        sizes = len(Var._interned), len(_ClassVar._interned)
+        assert main(argv) == 0
+    assert (len(Var._interned), len(_ClassVar._interned)) == sizes
 
 
 # ------------------------------------------------------------ properties

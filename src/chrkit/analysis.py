@@ -17,6 +17,13 @@ keep their fingerprints), go in a ``StateIndex``, which finds the first
 repeated ancestor. The walk is depth first, so a node's ancestors are the
 last nodes walked at each smaller depth: the index is cut back to the
 node's depth (or apply count) before it is used.
+
+A view goes in lazily (``_LazyView``): its shape is read off the
+configuration's atoms, and the view itself, two solves of the store's
+whole history, is built only when the index meets it with a held view of
+the same shape. A branch whose views all differ in shape solves nothing.
+A branch's trace is linked to its parent's, one step per link, and becomes
+a tuple only for a cycle's witness.
 """
 
 from __future__ import annotations
@@ -28,16 +35,67 @@ from .constraints import Store, project, solve
 # not called here: perfbench's layer trace and tests/snapshot.py wrap this binding
 from .equivalence import states_equivalent_mod  # noqa: F401
 from .semantics import annotated
-from .semantics.search import AnswerSet, State, StateIndex, Walk, fit_program, qualified_answers
+from .semantics.search import (
+    AnswerSet,
+    State,
+    StateIndex,
+    Walk,
+    atom_shape,
+    fit_program,
+    qualified_answers,
+)
 from .syntax import print_item
 from .terms import FreshSupply, apply_subst, vars_of
 
 
 def _live_view(cfg, fixed) -> State:
-    """The configuration's live view away from the fixed variables."""
+    """The configuration's live view away from the fixed variables: the
+    store's bindings resolved into the atoms, and the store projected onto
+    the fixed variables and the atoms'. Each of the two steps solves the
+    store's whole history, so the walks call this through ``_LazyView``,
+    only for a view that meets a held one of its shape."""
     atoms = cfg.atoms if cfg.failed else apply_subst(tuple(cfg.atoms), solve(cfg.builtins))
     keep = set(fixed) | vars_of(atoms)
     return State(atoms, Store(project(cfg.builtins, keep)), cfg.tokens)
+
+
+class _LazyView:
+    """A configuration's live view as ``StateIndex`` reads it: the shape at
+    once, everything else from the ``_live_view`` built on first read.
+
+    Resolving bindings keeps every atom's functor and arity, and the view's
+    store, a projection, is never flagged failed, so the shape is that of
+    the configuration's atoms. The index reads only the shape of a view
+    until a held view shares it."""
+
+    __slots__ = ("shape", "_cfg", "_fixed", "_view")
+
+    def __init__(self, cfg, fixed):
+        self.shape = atom_shape(cfg.atoms)
+        self._cfg, self._fixed, self._view = cfg, fixed, None
+
+    @property
+    def view(self) -> State:
+        if self._view is None:
+            self._view = _live_view(self._cfg, self._fixed)
+        return self._view
+
+    atoms = property(lambda self: self.view.atoms)
+    builtins = property(lambda self: self.view.builtins)
+    tokens = property(lambda self: self.view.tokens)
+
+    def fingerprint(self, fixed: frozenset):
+        return self.view.fingerprint(fixed)
+
+
+def _steps(trace) -> tuple:
+    """The steps of a parent-linked trace, ``(parent, step)`` or ``()`` at
+    the root, first step first."""
+    steps = []
+    while trace:
+        trace, step = trace
+        steps.append(step)
+    return tuple(reversed(steps))
 
 
 @dataclass
@@ -75,17 +133,17 @@ def check_normal_termination(
         cfg, _ = annotated.drain(cfg)
         if cfg.failed:
             continue
-        view = _live_view(cfg, goal_vars)
+        view = _LazyView(cfg, goal_vars)
         history.cut(depth)
         first = history.find(view)
         if first is not None:
             return TerminationReport(
-                "diverges", Cycle(trace, first, depth), walk.expanded,
+                "diverges", Cycle(_steps(trace), first, depth), walk.expanded,
                 walk.truncated,
             )
         history.push(view)
         walk.expand(depth, [
-            (child, trace + ((firing.rule.name, firing.idents),))
+            (child, (trace, (firing.rule.name, firing.idents)))
             for firing, child in annotated.successors(program, cfg, fresh)
         ])
     if walk.truncated:
@@ -167,19 +225,19 @@ def probe_solve_orders(
         children = []
         for i, item in enumerate(cfg.pending):
             label = ("solve", print_item(item))
-            children.append((annotated.solve_at(cfg, i), None, applies, trace + (label,)))
+            children.append((annotated.solve_at(cfg, i), None, applies, (trace, label)))
         for firing, child in annotated.successors(program, cfg, fresh):
             label = ("apply", firing.rule.name, firing.idents)
-            child_view = _live_view(child, goal_vars)
+            child_view = _LazyView(child, goal_vars)
             first = history.find(child_view)
             if first is not None:
                 return ProbeReport(
                     True,
-                    Cycle(trace + (label,), first, applies + 1),
+                    Cycle(_steps((trace, label)), first, applies + 1),
                     walk.expanded,
                     walk.truncated,
                 )
-            children.append((child, child_view, applies + 1, trace + (label,)))
+            children.append((child, child_view, applies + 1, (trace, label)))
         walk.expand(steps, children)
     return ProbeReport(False, None, walk.expanded, walk.truncated)
 

@@ -80,6 +80,11 @@ class Walk:
         return True
 
 
+def atom_shape(atoms) -> tuple:
+    """The multiset of the atoms' functors and arities, as a hashable key."""
+    return tuple(sorted((a.atom.functor, len(a.atom.args)) for a in atoms))
+
+
 @dataclass(frozen=True)
 class State:
     """Atoms, built-in store and token store, with the fingerprint and
@@ -98,9 +103,7 @@ class State:
     def shape(self):
         """The multiset of atom shapes, which equivalent states share, as a
         hashable key; None for every failed state."""
-        if self.failed:
-            return None
-        return tuple(sorted((a.atom.functor, len(a.atom.args)) for a in self.atoms))
+        return None if self.failed else atom_shape(self.atoms)
 
     def fingerprint(self, fixed: frozenset):
         """The ``state_fingerprint`` key and reading, kept per fixed set."""

@@ -28,8 +28,9 @@ A call that raises is recorded as its exception. The families:
   write.
 
 Run as a script, this writes tests/fixtures/snapshot.jsonl and prints,
-per family, the exact checks (hits and misses) and the fingerprints that
-recording it made (``exact_checks``):
+per family, the exact checks (hits and misses), the fingerprints and the
+live views (``analysis._live_view``) that recording it made
+(``exact_checks``):
 
     PYTHONPATH=src python3 tests/snapshot.py
 
@@ -360,11 +361,13 @@ def record(family: str, seed: int) -> dict:
 @contextlib.contextmanager
 def exact_checks():
     """Count the exact state checks that the search and the verifiers
-    make, per outcome, and the state fingerprints they compute. Each
-    check runs between two states with equal fingerprints, so a miss is a
-    fingerprint-equal pair that is not equivalent."""
-    counts = {"hits": 0, "misses": 0, "fingerprints": 0}
+    make, per outcome, the state fingerprints they compute and the live
+    views the cycle checks build. Each check runs between two states with
+    equal fingerprints, so a miss is a fingerprint-equal pair that is not
+    equivalent."""
+    counts = {"hits": 0, "misses": 0, "fingerprints": 0, "views": 0}
     original, fingerprint = search.states_equivalent_mod, search.state_fingerprint
+    live_view = analysis._live_view
 
     def counted(*args):
         same = original(*args)
@@ -375,13 +378,19 @@ def exact_checks():
         counts["fingerprints"] += 1
         return fingerprint(*args)
 
+    def counted_view(*args):
+        counts["views"] += 1
+        return live_view(*args)
+
     search.states_equivalent_mod = analysis.states_equivalent_mod = counted
     search.state_fingerprint = counted_fingerprint
+    analysis._live_view = counted_view
     try:
         yield counts
     finally:
         search.states_equivalent_mod = analysis.states_equivalent_mod = original
         search.state_fingerprint = fingerprint
+        analysis._live_view = live_view
 
 
 def line(rec: dict) -> str:
@@ -414,7 +423,8 @@ if __name__ == "__main__":
                     signal.setitimer(signal.ITIMER_REAL, 0)
         print(
             f"{family}: {count} cases, exact checks {counts['hits']} hits / "
-            f"{counts['misses']} misses, {counts['fingerprints']} fingerprints",
+            f"{counts['misses']} misses, {counts['fingerprints']} fingerprints, "
+            f"{counts['views']} live views",
             file=sys.stderr,
         )
     SNAPSHOT.write_text("\n".join(lines) + "\n")

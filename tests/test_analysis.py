@@ -2,14 +2,18 @@
 
 import pytest
 
+from chrkit import analysis
 from chrkit.analysis import (
+    Cycle,
+    ProbeReport,
+    TerminationReport,
     check_normal_confluence,
     check_normal_termination,
     diff_answer_sets,
     probe_solve_orders,
 )
 from chrkit.replace import replace_rule
-from chrkit.semantics.search import qualified_answers
+from chrkit.semantics.search import StateIndex, qualified_answers
 from chrkit.syntax import annotate, parse_goal, parse_program
 
 from conftest import load
@@ -146,3 +150,67 @@ def test_diff_sees_dead_local_bindings():
     right = qualified_answers(q, goal)
     assert left.texts == right.texts == ("true",)
     assert not diff_answer_sets(left, right).equal
+
+
+# ------------------------------------------------------------ work gate
+
+
+def views_built(monkeypatch):
+    """Record the shape of every view ``_live_view`` builds."""
+    built = []
+    live_view = analysis._live_view
+
+    def building(cfg, fixed):
+        view = live_view(cfg, fixed)
+        built.append(view.shape)
+        return view
+
+    monkeypatch.setattr(analysis, "_live_view", building)
+    return built
+
+
+def test_a_walk_whose_views_never_share_a_shape_builds_none(monkeypatch):
+    # no ancestor on any branch of this genealogy has a view of the same
+    # atom shape, so no view is ever compared: the eager walk built 339
+    built = views_built(monkeypatch)
+    goal = parse_goal(", ".join(f"f(a{i}, a{i + 1})" for i in range(6)))
+    report = check_normal_termination(load("gen_adam"), goal)
+    assert report == TerminationReport("terminates", None, 339, False)
+    assert built == []
+
+
+def test_the_two_views_whose_shapes_meet_are_built(monkeypatch):
+    built = views_built(monkeypatch)
+    report = check_normal_termination(parse_program("r @ p <=> p."), parse_goal("p"))
+    assert report == TerminationReport("diverges", Cycle((("r", (1,)),), 0, 1), 2, False)
+    assert built == [(("p", 0),)] * 2
+
+
+def test_the_probe_builds_a_view_only_when_the_history_holds_its_shape(monkeypatch):
+    # every view is built inside a lookup whose shape the history holds,
+    # and has that shape
+    built, inside = views_built(monkeypatch), [0]
+    find = StateIndex.find
+
+    def finding(index, state, skip=()):
+        before = len(built)
+        held = any(view.shape == state.shape for view in index._held)
+        pos = find(index, state, skip)
+        assert built[before:] == [state.shape] * (len(built) - before)
+        assert held or len(built) == before
+        inside[0] += len(built) - before
+        return pos
+
+    monkeypatch.setattr(StateIndex, "find", finding)
+    report = probe_solve_orders(load("solve_order_loop"), parse_goal("V=d, p(V)"))
+    assert report == ProbeReport(False, None, 11, False)
+    assert built == []  # the eager probe built 3
+    p2, _ = replace_rule(annotate(load("solve_order_loop")), 0, "weak")
+    report = probe_solve_orders(p2, parse_goal("V=d, p(V)"))
+    trace = (
+        ("solve", "V=d"), ("apply", "r1", (1,)), ("solve", "_R5=_R6"),
+        ("apply", "r3", (3,)), ("apply", "r1", (4,)),
+    )
+    assert report == ProbeReport(True, Cycle(trace, 0, 3), 7, False)
+    assert built == [(("r", 1),)] * 2  # the eager probe built 4
+    assert inside[0] == len(built)

@@ -234,6 +234,35 @@ def test_the_verifiers_report_what_the_keyed_scans_reported(family, rng):
         assert prints <= ref_prints
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CASES)), st.randoms(use_true_random=False))
+def test_a_lazy_view_is_the_eager_view(family, rng):
+    # along a random derivation of solves and firings, up to its first
+    # failed state, which no walk views: the shape read off the
+    # configuration is the eager view's, and the view built on first read
+    # is the eager one, built once
+    case = CASES[family](rng)
+    program = fit_program(parse_program(case["program"]), "annotated")
+    goal = parse_goal(case["goal"])
+    goal_vars = frozenset(vars_of(tuple(goal)))
+    fresh = FreshSupply("_R", goal_vars)
+    cfg = annotated.initial(goal)
+    for _ in range(2 * case["max_applies"]):
+        if cfg.failed:
+            break
+        lazy = analysis._LazyView(cfg, goal_vars)
+        (atoms, store, tokens), _ = _live_view(cfg.atoms, cfg.builtins, cfg.tokens, goal_vars)
+        assert lazy.shape == State(atoms, store, tokens).shape
+        assert (lazy.atoms, lazy.builtins.equations, lazy.tokens) == (
+            atoms, store.equations, tokens)
+        assert lazy.view is lazy.view
+        steps = [annotated.solve_at(cfg, i) for i in range(len(cfg.pending))]
+        steps += [child for _, child in annotated.successors(program, cfg, fresh)]
+        if not steps:
+            break
+        cfg = rng.choice(steps)
+
+
 @st.composite
 def index_runs(draw):
     """Two different sets of fixed variables, a pool of ``State`` objects

@@ -5,16 +5,18 @@ or a satisfiable conjunction. It keeps the equations conjoined so far and one
 triangular most general unifier (mgu) of them: conjoin unifies only the new
 equations against the parent's mgu, so a chain of n conjoins solves each
 equation once; a store built from an equation tuple computes the mgu lazily.
-``Store.solved()`` is its cached idempotent form, for the readers that do not
-depend on which variable of a class the mgu leaves unbound.
+``Store.solved()`` is the store's normal form: the idempotent mgu with each
+free class named by its least member (by name). Over finite trees two
+satisfiable stores are equivalent iff their normal forms are equal, so
+``stores_equivalent`` is one comparison.
 
-The answers and the termination checker's live views do depend on that, and
-read ``solve``: the ``equations`` history unified in one pass, in order. The
-history stays because outputs depend on its order. Under ``r @ a(Z) <=>
-p(Z).`` the goal ``p(X), q(Y), X=Y`` answers ``p(Y), q(Y), Y=X`` but
+The answers and the termination checker's live views depend on which variable
+of a class stays free, and read ``solve``: the ``equations`` history unified in
+one pass, in order; it stays because outputs depend on its order. Under ``r @
+a(Z) <=> p(Z).`` the goal ``p(X), q(Y), X=Y`` answers ``p(Y), q(Y), Y=X`` but
 ``p(X), q(Y), Y=X`` answers ``p(X), q(X), Y=X``; and views that keep goal
-variables as class representatives find that ``r0 @ q(W) <=> g(f(f(Y)),W)=a
-| true. r1 @ q(Z) <=> b=W. r2 @ q(W) \\ s(X) <=> s(X), X=Y.`` diverges from
+variables as class representatives find that ``r0 @ q(W) <=> g(f(f(Y)),W)=a |
+true. r1 @ q(Z) <=> b=W. r2 @ q(W) \\ s(X) <=> s(X), X=Y.`` diverges from
 ``s(D), q(D), s(A)`` within one rule application, where it is ``unknown``.
 
 Entailment of existentially quantified equations is decided by unification
@@ -39,6 +41,7 @@ from .terms import (
     unify,
     vars_in_order,
     vars_of,
+    walk,
 )
 
 
@@ -70,9 +73,19 @@ class Store:
         return self._mgu
 
     def solved(self) -> Subst:
-        """The idempotent form of ``mgu()``, cached; read-only."""
+        """The normal form, cached; read-only: before ``solved_form``, a copy
+        of ``mgu()`` swaps each free class's root for its least member."""
         if self._solved is None:
-            object.__setattr__(self, "_solved", solved_form(self.mgu()))
+            mgu, least = self.mgu(), {}
+            for v in mgu:
+                r = walk(v, mgu)
+                if isinstance(r, Var) and v.name < least.get(r, r).name:
+                    least[r] = v
+            mgu = dict(mgu) if least else mgu
+            for r, m in least.items():
+                del mgu[m]
+                mgu[r] = m
+            object.__setattr__(self, "_solved", solved_form(mgu))
         return self._solved
 
     def constrained_vars(self) -> frozenset:
@@ -151,24 +164,16 @@ def entails_exists(store: Store, exvars, eqs: Sequence[Equation]) -> bool:
     return entailment_witness(store, exvars, eqs) is not None
 
 
-def entails_eq(store: Store, eq: Equation) -> bool:
-    return entails_exists(store, (), [eq])
-
-
 def equations_satisfiable(eqs: Sequence[Equation], frozen=frozenset()) -> bool:
     """Satisfiability of a conjunction, treating ``frozen`` vars as constants."""
     return unify([(e.lhs, e.rhs) for e in eqs], frozen=frozenset(frozen)) is not None
 
 
 def stores_equivalent(a: Store, b: Store) -> bool:
-    """Logical equivalence of two stores (mutual entailment)."""
+    """Logical equivalence of two stores: equal normal forms."""
     if a.failed or b.failed:
         return a.failed == b.failed
-    bind_a = [Equation(v, t) for v, t in a.solved().items()]
-    bind_b = [Equation(v, t) for v, t in b.solved().items()]
-    return all(entails_eq(a, e) for e in bind_b) and all(
-        entails_eq(b, e) for e in bind_a
-    )
+    return a.solved() == b.solved()
 
 
 def guards_equivalent(guard_a: Sequence[Equation], guard_b: Sequence[Equation]) -> bool:

@@ -19,9 +19,9 @@ The search needs the candidate pools of one side (``_pools``) and the
 item order and token schedule of the other (``_plan``); ``_search``
 builds both for a pair of rules on the spot.
 A state's built-in store enters the search as facts, one ``v = value``
-per constrained variable, read off its idempotent mgu with each free
-class replaced by one class variable: two satisfiable stores over finite
-trees are equivalent under a renaming iff their facts correspond. Callers
+per constrained variable, read off its normal form (``Store.solved()``)
+with each free class replaced by one class variable: two satisfiable
+stores are equivalent under a renaming iff their facts correspond. Callers
 keep the search off most pairs of states through ``state_fingerprint``, a
 key that no renaming the check allows can change (the symmetry reduction
 of explicit-state model checking). Both read a state once per set of
@@ -259,8 +259,8 @@ class Reading:
         """The atoms, keyed by label and token roles, and one fact
         ``v = value`` per variable of ``store.constrained_vars()``: the
         value is v's binding in ``solved()`` with each free class replaced
-        by one class variable, so it depends on no equation order,
-        orientation or batching. A fact has a slack of 1, its variable:
+        by one class variable, as a renaming need not keep a class's least
+        member. A fact has a slack of 1, its variable:
         the search reaches the facts on fixed and atom variables once these
         are mapped, and takes their one candidate by identifier, so only
         the other facts are keyed, by their labels."""

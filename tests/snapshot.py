@@ -28,8 +28,9 @@ A call that raises is recorded as its exception. The families:
   write.
 
 Run as a script, this writes tests/fixtures/snapshot.jsonl and prints,
-per family, the exact checks (hits and misses), the fingerprints and the
-live views (``analysis._live_view``) that recording it made
+per family, the exact checks (hits and misses), the fingerprints, the
+live views (``analysis._live_view``) and the store comparisons
+(``equivalence.stores_equivalent``) that recording it made
 (``exact_checks``):
 
     PYTHONPATH=src python3 tests/snapshot.py
@@ -51,7 +52,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from chrkit import analysis
+from chrkit import analysis, equivalence
 from chrkit.analysis import (
     check_normal_termination,
     confluence_of,
@@ -361,13 +362,14 @@ def record(family: str, seed: int) -> dict:
 @contextlib.contextmanager
 def exact_checks():
     """Count the exact state checks that the search and the verifiers
-    make, per outcome, the state fingerprints they compute and the live
-    views the cycle checks build. Each check runs between two states with
-    equal fingerprints, so a miss is a fingerprint-equal pair that is not
+    make, per outcome, the state fingerprints they compute, the live
+    views the cycle checks build and the built-in stores the lockstep
+    check compares. Each exact check runs between two states with equal
+    fingerprints, so a miss is a fingerprint-equal pair that is not
     equivalent."""
-    counts = {"hits": 0, "misses": 0, "fingerprints": 0, "views": 0}
+    counts = {"hits": 0, "misses": 0, "fingerprints": 0, "views": 0, "stores": 0}
     original, fingerprint = search.states_equivalent_mod, search.state_fingerprint
-    live_view = analysis._live_view
+    live_view, compare_stores = analysis._live_view, equivalence.stores_equivalent
 
     def counted(*args):
         same = original(*args)
@@ -382,15 +384,21 @@ def exact_checks():
         counts["views"] += 1
         return live_view(*args)
 
+    def counted_stores(*args):
+        counts["stores"] += 1
+        return compare_stores(*args)
+
     search.states_equivalent_mod = analysis.states_equivalent_mod = counted
     search.state_fingerprint = counted_fingerprint
     analysis._live_view = counted_view
+    equivalence.stores_equivalent = counted_stores
     try:
         yield counts
     finally:
         search.states_equivalent_mod = analysis.states_equivalent_mod = original
         search.state_fingerprint = fingerprint
         analysis._live_view = live_view
+        equivalence.stores_equivalent = compare_stores
 
 
 def line(rec: dict) -> str:
@@ -424,7 +432,7 @@ if __name__ == "__main__":
         print(
             f"{family}: {count} cases, exact checks {counts['hits']} hits / "
             f"{counts['misses']} misses, {counts['fingerprints']} fingerprints, "
-            f"{counts['views']} live views",
+            f"{counts['views']} live views, {counts['stores']} store comparisons",
             file=sys.stderr,
         )
     SNAPSHOT.write_text("\n".join(lines) + "\n")

@@ -8,16 +8,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chrkit import equivalence
-from chrkit.constraints import TRUE, Store, conjoin, stores_equivalent
+from chrkit.constraints import TRUE, Store, conjoin
 from chrkit.semantics import search
 from chrkit.semantics.search import explore
 from chrkit.syntax import IdAtom, Token, clean_tokens, parse_goal, parse_program
 from chrkit.terms import Compound, Equation, Var, const, rename_vars, vars_of
 
+from test_constraints import reference_stores_equivalent
+
 # ------------------------------------------------------------- reference
-# The unpruned comparison, kept verbatim: atom matching, then a bijection
-# search over the leftover store variables with a from-scratch
-# stores_equivalent at every leaf.
+# The unpruned comparison: atom matching, then a bijection search over the
+# leftover store variables with a from-scratch store comparison at every
+# leaf. It is kept verbatim, except that the leaf calls the mutual-entailment
+# reference kept in tests/test_constraints.py, not the code under test.
 
 
 def _match_term(ta, tb, rho: Dict, fixed) -> Optional[Dict]:
@@ -89,7 +92,7 @@ def _stores_equivalent_mod(sa: Store, sb: Store, rho, fixed) -> bool:
 
     def leaf(full_rho):
         renamed = tuple(rename_vars(e, full_rho) for e in sa.equations)
-        return stores_equivalent(Store(renamed), sb)
+        return reference_stores_equivalent(Store(renamed), sb)
 
     def rec(i, rho, avail):
         if i == len(la):

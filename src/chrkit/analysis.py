@@ -13,7 +13,7 @@ an ancestor's view (modulo renaming away from the goal variables) can be
 replayed forever, since rule applicability only ever consults that part of
 the state. The views of the branch walked, like the final states that
 ``diff_answer_sets`` matches (``explore``'s own ``State`` values, which
-keep their fingerprints), go in a ``StateIndex``, which finds the first
+keep their readings), go in a ``StateIndex``, which finds the first
 repeated ancestor. The walk is depth first, so a node's ancestors are the
 last nodes walked at each smaller depth: the index is cut back to the
 node's depth (or apply count) before it is used.
@@ -55,37 +55,32 @@ def _live_view(cfg, fixed) -> State:
     store's whole history, so the walks call this through ``_LazyView``,
     only for a view that meets a held one of its shape."""
     atoms = cfg.atoms if cfg.failed else apply_subst(tuple(cfg.atoms), solve(cfg.builtins))
-    keep = set(fixed) | vars_of(atoms)
-    return State(atoms, Store(project(cfg.builtins, keep)), cfg.tokens)
+    keep = fixed | vars_of(atoms)
+    return State(atoms, Store(project(cfg.builtins, keep)), cfg.tokens, fixed)
 
 
 class _LazyView:
     """A configuration's live view as ``StateIndex`` reads it: the shape at
-    once, everything else from the ``_live_view`` built on first read.
+    once, the reading from the ``_live_view`` built on first read.
 
     Resolving bindings keeps every atom's functor and arity, and the view's
     store, a projection, is never flagged failed, so the shape is that of
     the configuration's atoms. The index reads only the shape of a view
     until a held view shares it."""
 
-    __slots__ = ("shape", "_cfg", "_fixed", "_view")
+    __slots__ = ("shape", "fixed", "_cfg", "_view")
 
-    def __init__(self, cfg, fixed):
+    def __init__(self, cfg, fixed: frozenset):
         self.shape = atom_shape(cfg.atoms)
-        self._cfg, self._fixed, self._view = cfg, fixed, None
+        self.fixed, self._cfg, self._view = fixed, cfg, None
 
     @property
     def view(self) -> State:
         if self._view is None:
-            self._view = _live_view(self._cfg, self._fixed)
+            self._view = _live_view(self._cfg, self.fixed)
         return self._view
 
-    atoms = property(lambda self: self.view.atoms)
-    builtins = property(lambda self: self.view.builtins)
-    tokens = property(lambda self: self.view.tokens)
-
-    def fingerprint(self, fixed: frozenset):
-        return self.view.fingerprint(fixed)
+    reading = property(lambda self: self.view.reading)
 
 
 def _steps(trace) -> tuple:

@@ -21,14 +21,15 @@ builds both for a pair of rules on the spot.
 A state's built-in store enters the search as facts, one ``v = value``
 per constrained variable, read off its normal form (``Store.solved()``)
 with each free class replaced by one class variable: two satisfiable
-stores are equivalent under a renaming iff their facts correspond. Callers
-keep the search off most pairs of states through ``state_fingerprint``, a
-key that no renaming the check allows can change (the symmetry reduction
-of explicit-state model checking). Both read a state once per set of
-fixed variables, as a ``Reading``: its variable profiles, token roles and
-atom labels, which key the atoms in the search, as the initial colouring
-keys individualization and refinement (McKay & Piperno, JSC 2014). A
-reading also holds its search plan, built on its first exact check: its
+stores are equivalent under a renaming iff their facts correspond.
+``state_fingerprint`` reads a state once, for the one set of fixed
+variables it is compared under, as a ``Reading``: its variable profiles,
+token roles and atom labels, which key the atoms in the search, as the
+initial colouring keys individualization and refinement (McKay & Piperno,
+JSC 2014), and its fingerprint ``key``, which no renaming the check
+allows can change: callers keep the search off most pairs of states by
+comparing keys (the symmetry reduction of explicit-state model checking).
+A reading also holds its search plan, built on its first exact check: its
 items, their pools and their order, so a state that meets many checks
 pays for its setup once.
 """
@@ -183,10 +184,11 @@ def _run(items, due, pools, by_ident, tokens_a, tokens_b, fixed) -> bool:
     return False
 
 
-def _search(items, cands, tokens_a, tokens_b, fixed=frozenset()) -> bool:
-    """``_run`` over the items planned against the candidates' pools."""
+def _search(items, cands, tokens_a, tokens_b) -> bool:
+    """``_run`` over the items planned against the candidates' pools, no
+    variable fixed."""
     pools, by_ident = _pools(cands)
-    return _run(*_plan(items, pools, tokens_a, fixed), pools, by_ident, tokens_a, tokens_b, fixed)
+    return _run(*_plan(items, pools, tokens_a, ()), pools, by_ident, tokens_a, tokens_b, ())
 
 
 def var_profiles(atoms, store: Store, fixed) -> Dict[Var, tuple]:
@@ -243,16 +245,30 @@ def _multiset(items) -> frozenset:
 
 
 class Reading:
-    """A non-failed state read for one fixed set: its ``var_profiles``, cleaned
-    tokens, identifiers' token roles, atom labels and, on first use, search
-    items with their pools and plan."""
+    """A state read once for its fixed set: the cleaned tokens and the
+    fingerprint ``key`` (None for every failed state); for a non-failed
+    state also its ``var_profiles``, identifiers' token roles, atom labels
+    and, on first use, search items with their pools and plan.
+
+    The key combines three multisets: the atom labels, each paired with
+    its token roles; the profiles; and the cleaned tokens over the atom
+    labels. It is equal for any two states ``states_equivalent_mod``
+    identifies."""
 
     def __init__(self, atoms, store: Store, tokens, fixed: frozenset):
         self.atoms, self.store, self.fixed = atoms, store, fixed
-        self.profiles = var_profiles(atoms, store, fixed)
         self.tokens = clean_tokens(tokens, atoms)
+        self.key = None
+        if store.failed:
+            return
+        self.profiles = var_profiles(atoms, store, fixed)
         self.roles = _token_roles(self.tokens)
         self.labels = {a.ident: _label(a.atom, self.profiles) for a in atoms}
+        self.key = (
+            _multiset((self.labels[a.ident], self.roles.get(a.ident, ())) for a in atoms),
+            _multiset(self.profiles.values()),
+            _multiset((t.rule_name, tuple(self.labels[i] for i in t.idents)) for t in self.tokens),
+        )
 
     @cached_property
     def items(self) -> list:
@@ -290,23 +306,9 @@ class Reading:
         return _plan(self.items, self.pools[0], self.tokens, self.fixed)
 
 
-def state_fingerprint(atoms, store: Store, tokens, fixed):
-    """A hashable key that is equal for any two states
-    ``states_equivalent_mod`` identifies, and the state's ``Reading``.
-
-    The key combines three multisets: the atom labels, each paired with
-    its token roles; the profiles; and the cleaned tokens over the atom
-    labels. All failed states share one key and have no reading.
-    """
-    if store.failed:
-        return None, None
-    r = Reading(atoms, store, tokens, frozenset(fixed))
-    key = (
-        _multiset((r.labels[a.ident], r.roles.get(a.ident, ())) for a in atoms),
-        _multiset(r.profiles.values()),
-        _multiset((t.rule_name, tuple(r.labels[i] for i in t.idents)) for t in r.tokens),
-    )
-    return key, r
+def state_fingerprint(atoms, store: Store, tokens, fixed) -> Reading:
+    """The state's ``Reading`` for the fixed variables, fingerprint included."""
+    return Reading(atoms, store, tokens, frozenset(fixed))
 
 
 def states_equivalent_mod(

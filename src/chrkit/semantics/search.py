@@ -12,11 +12,12 @@ included, through a ``StateIndex``, so its non-failed finals are already
 pairwise inequivalent; of its failed finals, all equivalent, the answers
 keep the first. ``StateIndex`` is the one lookup modulo renaming, which the
 verifiers' histories and answer diff use too: a state meets only the held
-states of its multiset of atom shapes, gets a fingerprint
-(``state_fingerprint``) only when its shape is held, and meets the exact
-``states_equivalent_mod`` only on equal fingerprints, found by one dict
-lookup in its shape, in push order. Each ``State`` keeps its fingerprint
-for the fixed set last asked for.
+states of its multiset of atom shapes, is read (``state_fingerprint``)
+only when its shape is held, and meets the exact ``states_equivalent_mod``
+only on an equal fingerprint key, found by one dict lookup in its shape,
+in push order. Each ``State`` is made for its search's goal variables, so
+it is read once, and keeps its ``Reading``, key included; an index
+refuses a state made for another fixed set.
 
 Every search here and in ``analysis`` is a loop body over one ``Walk``, a
 depth-first walk of the derivation tree. Budgets make every search total:
@@ -27,7 +28,7 @@ instead of producing wrong answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional
 
@@ -87,13 +88,13 @@ def atom_shape(atoms) -> tuple:
 
 @dataclass(frozen=True)
 class State:
-    """Atoms, built-in store and token store, with the fingerprint and
-    reading last computed for the state and their fixed variables."""
+    """Atoms, built-in store and token store, read modulo renaming away from
+    ``fixed``, the variables of the search's goal."""
 
     atoms: tuple
     builtins: Store
     tokens: frozenset
-    _read: tuple = field(default=(None, None, None), compare=False, repr=False)
+    fixed: frozenset
 
     @property
     def failed(self) -> bool:
@@ -105,68 +106,69 @@ class State:
         hashable key; None for every failed state."""
         return None if self.failed else atom_shape(self.atoms)
 
-    def fingerprint(self, fixed: frozenset):
-        """The ``state_fingerprint`` key and reading, kept per fixed set."""
-        if self._read[0] != fixed:
-            key, reading = state_fingerprint(self.atoms, self.builtins, self.tokens, fixed)
-            hash(key)  # frozensets keep their hash: unequal keys then differ fast
-            object.__setattr__(self, "_read", (fixed, key, reading))
-        return self._read[1:]
+    @cached_property
+    def reading(self):
+        """The state's ``Reading``, its fingerprint ``key`` included, read
+        on first use."""
+        return state_fingerprint(self.atoms, self.builtins, self.tokens, self.fixed)
 
 
 class StateIndex:
     """States held by position, looked up modulo renaming away from ``fixed``.
 
-    Each shape holds its states by fingerprint key. A state is
-    fingerprinted when it first meets another of its shape."""
+    Each shape holds its states by fingerprint key. A state is read when
+    it first meets another of its shape. Every state must be made for
+    ``fixed``."""
 
     def __init__(self, fixed):
         self.fixed = frozenset(fixed)
         self._held: List[State] = []
-        self._reads: list = []  # position -> its (key, reading), once keyed
         # shape -> [positions not keyed yet, {key: positions}], each rising
         self._shapes: dict = {}
+
+    def _shape(self, state: State):
+        if state.fixed != self.fixed:
+            raise ValueError("the state was made for another set of fixed variables")
+        return state.shape
 
     def find(self, state: State, skip=()) -> Optional[int]:
         """The position of the first held state outside ``skip`` that is
         equivalent to ``state``."""
-        bucket = self._shapes.get(state.shape)
+        bucket = self._shapes.get(self._shape(state))
         if bucket is None:
             return None
         fresh, keyed = bucket
-        # every position not keyed yet is above every keyed one
         for pos in fresh:
-            self._reads[pos] = self._held[pos].fingerprint(self.fixed)
-            keyed.setdefault(self._reads[pos][0], []).append(pos)
+            keyed.setdefault(self._held[pos].reading.key, []).append(pos)
         fresh.clear()
-        key, reading = state.fingerprint(self.fixed)
-        for pos in keyed.get(key, ()):
-            old = self._held[pos]
+        a = state.reading
+        for pos in keyed.get(a.key, ()):
+            b = self._held[pos].reading
             if pos not in skip and states_equivalent_mod(
-                state.atoms, state.builtins, state.tokens,
-                old.atoms, old.builtins, old.tokens, self.fixed, reading, self._reads[pos][1],
+                a.atoms, a.store, a.tokens, b.atoms, b.store, b.tokens, self.fixed, a, b
             ):
                 return pos
         return None
 
     def push(self, state: State) -> None:
-        self._shapes.setdefault(state.shape, ([], {}))[0].append(len(self._held))
+        self._shapes.setdefault(self._shape(state), ([], {}))[0].append(len(self._held))
         self._held.append(state)
-        self._reads.append(None)
 
     def cut(self, n: int) -> None:
         """Keep the first ``n`` states."""
         while len(self._held) > n:
-            shape, read = self._held.pop().shape, self._reads.pop()
-            fresh, keyed = self._shapes[shape]
-            if read is None:
+            state = self._held.pop()
+            fresh, keyed = self._shapes[state.shape]
+            # every position not keyed yet is above every keyed one
+            if fresh:
                 fresh.pop()
             else:
-                keyed[read[0]].pop()
-                if not keyed[read[0]]:
-                    del keyed[read[0]]
+                positions = keyed[state.reading.key]
+                positions.pop()
+                if not positions:
+                    del keyed[state.reading.key]
             if not fresh and not keyed:
-                del self._shapes[shape]
+                del self._shapes[state.shape]
 
     def add(self, state: State) -> bool:
         """Push the state unless an equivalent one is held; return whether
@@ -211,9 +213,9 @@ def explore(
     for cfg, depth in walk:
         cfg, _ = mod.drain(cfg)
         if cfg.failed:
-            finals.append(State((), cfg.builtins, frozenset()))
+            finals.append(State((), cfg.builtins, frozenset(), goal_vars))
             continue
-        state = State(mod.chr_atoms(cfg), cfg.builtins, cfg.tokens)
+        state = State(mod.chr_atoms(cfg), cfg.builtins, cfg.tokens, goal_vars)
         if dedup and not visited.add(state):
             continue
         succ = mod.successors(program, cfg, fresh)
@@ -250,15 +252,16 @@ class AnswerSet:
         return tuple(a.text for a in self.answers)
 
 
-def render_answer(final: State, goal_vars) -> QualifiedAnswer:
+def render_answer(final: State) -> QualifiedAnswer:
+    """The final state's answer, shown over its fixed variables."""
     if final.failed:
         return QualifiedAnswer((), (), True)
-    store = final.builtins
-    sigma = solve(store, prefer=store.variables() - set(goal_vars))
+    store, goal_vars = final.builtins, final.fixed
+    sigma = solve(store, prefer=store.variables() - goal_vars)
     atoms = tuple(apply_subst(a.atom, sigma) for a in final.atoms)
     # the locals left in the atoms are roots of sigma, never bound, so
     # sigma is also the solve that project would make for these keep vars
-    eqs = project(store, set(goal_vars) | vars_of(atoms), sigma)
+    eqs = project(store, goal_vars | vars_of(atoms), sigma)
     atoms, eqs = canonical_locals((tuple(sorted(atoms, key=print_item)), eqs), goal_vars)
     return QualifiedAnswer(atoms, eqs, False)
 
@@ -281,7 +284,7 @@ def qualified_answers(
     # failed ones are all equivalent: the first stands for the rest
     failed = next((fs for fs in res.finals if fs.failed), None)
     reps = [fs for fs in res.finals if not fs.failed or fs is failed]
-    rendered = [(render_answer(fs, res.goal_vars), fs) for fs in reps]
+    rendered = [(render_answer(fs), fs) for fs in reps]
     rendered.sort(key=lambda pair: pair[0].text)
     return AnswerSet(
         tuple(a for a, _ in rendered),

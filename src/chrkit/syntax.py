@@ -71,10 +71,6 @@ class Rule:
     def heads(self) -> tuple:
         return self.kept + self.removed
 
-    @property
-    def is_propagation(self) -> bool:
-        return not self.removed
-
     @cached_property
     def variables(self) -> tuple:
         """The rule's variables sorted by name, the order in which renaming
@@ -468,7 +464,3 @@ def print_rule(rule: Rule) -> str:
 
 def print_program(program: Program) -> str:
     return "\n".join(print_rule(r) for r in program.rules) + "\n"
-
-
-def print_goal(goal: Sequence) -> str:
-    return print_items(goal) if goal else "true"

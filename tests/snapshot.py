@@ -27,11 +27,12 @@ A call that raises is recorded as its exception. The families:
   wrong, run through ``chrkit.cli.main`` as they are, with the files they
   write.
 
-Run as a script, this writes tests/fixtures/snapshot.jsonl and prints,
-per family, the exact checks (hits and misses), the fingerprints, the
-live views (``analysis._live_view``) and the store comparisons
-(``equivalence.stores_equivalent``) that recording it made
-(``exact_checks``):
+Run as a script, this writes tests/fixtures/snapshot.jsonl, and
+tests/fixtures/snapshot_counts.json with, per family, the exact checks
+(hits and misses), the fingerprints, the live views
+(``analysis._live_view``) and the store comparisons
+(``equivalence.stores_equivalent``) that recording its cases made
+(``exact_checks``), which it also prints:
 
     PYTHONPATH=src python3 tests/snapshot.py
 
@@ -50,6 +51,7 @@ import signal
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 from chrkit import analysis, equivalence
@@ -66,6 +68,8 @@ from chrkit.syntax import parse_goal, parse_program
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SNAPSHOT = FIXTURES / "snapshot.jsonl"
+# family -> the work counts of exact_checks, summed over its recorded cases
+COUNTS = FIXTURES / "snapshot_counts.json"
 
 # family -> number of cases drawn
 FAMILIES = {
@@ -359,6 +363,9 @@ def record(family: str, seed: int) -> dict:
     return {**case, **record_reports(case)}
 
 
+COUNTED = ("hits", "misses", "fingerprints", "views", "stores")
+
+
 @contextlib.contextmanager
 def exact_checks():
     """Count the exact state checks that the search and the verifiers
@@ -367,7 +374,7 @@ def exact_checks():
     check compares. Each exact check runs between two states with equal
     fingerprints, so a miss is a fingerprint-equal pair that is not
     equivalent."""
-    counts = {"hits": 0, "misses": 0, "fingerprints": 0, "views": 0, "stores": 0}
+    counts = dict.fromkeys(COUNTED, 0)
     original, fingerprint = search.states_equivalent_mod, search.state_fingerprint
     live_view, compare_stores = analysis._live_view, equivalence.stores_equivalent
 
@@ -415,27 +422,30 @@ def _too_slow(signum, frame):
 
 if __name__ == "__main__":
     signal.signal(signal.SIGALRM, _too_slow)
-    lines, left_out = [], []
+    lines, left_out, totals = [], [], {}
     start = time.perf_counter()
     for family, count in FAMILIES.items():
-        with exact_checks() as counts:
-            for seed in range(count):
-                if (family, seed) in SLOW:
-                    continue
-                signal.setitimer(signal.ITIMER_REAL, 1.0)
-                try:
+        total = totals[family] = Counter(dict.fromkeys(COUNTED, 0))
+        for seed in range(count):
+            if (family, seed) in SLOW:
+                continue
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            try:
+                with exact_checks() as counts:
                     lines.append(line(record(family, seed)))
-                except _Slow:
-                    left_out.append((family, seed))
-                finally:
-                    signal.setitimer(signal.ITIMER_REAL, 0)
+                total.update(counts)
+            except _Slow:
+                left_out.append((family, seed))
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
         print(
-            f"{family}: {count} cases, exact checks {counts['hits']} hits / "
-            f"{counts['misses']} misses, {counts['fingerprints']} fingerprints, "
-            f"{counts['views']} live views, {counts['stores']} store comparisons",
+            f"{family}: {count} cases, exact checks {total['hits']} hits / "
+            f"{total['misses']} misses, {total['fingerprints']} fingerprints, "
+            f"{total['views']} live views, {total['stores']} store comparisons",
             file=sys.stderr,
         )
     SNAPSHOT.write_text("\n".join(lines) + "\n")
+    COUNTS.write_text(json.dumps(totals, indent=1) + "\n")
     print(
         f"wrote {len(lines)} records ({SNAPSHOT.stat().st_size} bytes) to {SNAPSHOT} "
         f"in {time.perf_counter() - start:.1f} s",

@@ -270,7 +270,7 @@ def reference_qualified_answers(program, goal, semantics, **budgets) -> AnswerSe
     res = explore(program, goal, semantics=semantics, **budgets)
     seen = StateIndex(res.goal_vars)
     reps = [fs for fs in res.finals if seen.add(fs)]
-    rendered = [(render_answer(fs, res.goal_vars), fs) for fs in reps]
+    rendered = [(render_answer(fs), fs) for fs in reps]
     rendered.sort(key=lambda pair: pair[0].text)
     return AnswerSet(
         tuple(a for a, _ in rendered),

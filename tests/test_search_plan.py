@@ -107,10 +107,10 @@ def test_kept_readings_agree_with_the_search_planned_per_check(data, state, fixe
     # pools whose fingerprint differs from its own
     twin, _ = data.draw(twins(state, fixed))
     others = [data.draw(states()), data.draw(near_misses(twin)), twin]
-    key_a, read_a = equivalence.state_fingerprint(state[0], state[2], state[3], fixed)
+    read_a = equivalence.state_fingerprint(state[0], state[2], state[3], fixed)
     for other in others:
-        key_b, read_b = equivalence.state_fingerprint(other[0], other[2], other[3], fixed)
-        if read_a is None or read_b is None:
+        read_b = equivalence.state_fingerprint(other[0], other[2], other[3], fixed)
+        if read_a.key is None or read_b.key is None:  # a failed state
             continue
         for (sa, ra), (sb, rb) in (((state, read_a), (other, read_b)),
                                    ((other, read_b), (state, read_a))):
@@ -122,7 +122,7 @@ def test_kept_readings_agree_with_the_search_planned_per_check(data, state, fixe
             assert equivalence.states_equivalent_mod(
                 sa[0], sa[2], sa[3], sb[0], sb[2], sb[3], fixed
             ) == want
-            if key_a == key_b:
+            if read_a.key == read_b.key:
                 # equal fingerprints: each side's own pools order its items
                 # as the other side's did
                 assert ra.plan[0] == _plan_against(ra, rb)

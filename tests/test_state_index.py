@@ -1,13 +1,15 @@
 """One ``StateIndex`` for every lookup modulo renaming: the cycle
 histories and the answer diff against the keyed scans they replace, kept
-verbatim, the index itself against a list scan, and gates on the
-fingerprints and search items each ``State`` is read for."""
+verbatim, the index itself against a list scan, gates on how often each
+``State`` is read and its search items built, and the rejection of a
+state made for another fixed set."""
 
 import contextlib
 import functools
 import sys
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chrkit import analysis, equivalence
@@ -36,7 +38,8 @@ from test_state_keys import fixed_st, states, twins
 
 
 def _keyed(state, goal_vars):
-    """The state ``(atoms, builtins, tokens)`` paired with its fingerprint."""
+    """The state ``(atoms, builtins, tokens)`` paired with its reading,
+    which holds its fingerprint."""
     return state, state_fingerprint(*state, goal_vars)
 
 
@@ -51,12 +54,12 @@ def _live_view(atoms, builtins: Store, tokens, goal_vars):
 def _first(entries, keyed, goal_vars) -> Optional[int]:
     """The index of the first keyed entry, skipping None, whose state is
     equivalent to the keyed state."""
-    state, (key, profiles) = keyed
+    state, reading = keyed
     for i, entry in enumerate(entries):
         if entry is not None:
-            old, (old_key, old_profiles) = entry
-            if old_key == key and states_equivalent_mod(
-                *old, *state, goal_vars, old_profiles, profiles
+            old, old_reading = entry
+            if old_reading.key == reading.key and states_equivalent_mod(
+                *old, *state, goal_vars, old_reading, reading
             ):
                 return i
     return None
@@ -252,10 +255,11 @@ def test_a_lazy_view_is_the_eager_view(family, rng):
             break
         lazy = analysis._LazyView(cfg, goal_vars)
         (atoms, store, tokens), _ = _live_view(cfg.atoms, cfg.builtins, cfg.tokens, goal_vars)
-        assert lazy.shape == State(atoms, store, tokens).shape
-        assert (lazy.atoms, lazy.builtins.equations, lazy.tokens) == (
-            atoms, store.equations, tokens)
-        assert lazy.view is lazy.view
+        assert lazy.shape == State(atoms, store, tokens, goal_vars).shape
+        view = lazy.view
+        assert (view.atoms, view.builtins.equations, view.tokens, view.fixed) == (
+            atoms, store.equations, tokens, goal_vars)
+        assert lazy.view is view and lazy.reading is view.reading
         steps = [annotated.solve_at(cfg, i) for i in range(len(cfg.pending))]
         steps += [child for _, child in annotated.successors(program, cfg, fresh)]
         if not steps:
@@ -266,15 +270,16 @@ def test_a_lazy_view_is_the_eager_view(family, rng):
 @st.composite
 def index_runs(draw):
     """Two different sets of fixed variables, a pool of ``State`` objects
-    (a few states and equivalent copies of them) and a sequence of pushes,
-    lookups (each skipping some positions), adds and cuts, each on the
-    index of one of the two sets, so that one object passes through both
-    indexes and back."""
+    per set, made for it from the same few states and equivalent copies of
+    them, and a sequence of pushes, lookups (each skipping some positions),
+    adds and cuts, each on the index of one of the two sets with a state
+    of that set's pool."""
     fixeds = draw(st.lists(fixed_st, min_size=2, max_size=2, unique=True))
     pool = draw(st.lists(states(), min_size=1, max_size=4))
     pool += [draw(twins(draw(st.sampled_from(pool)), draw(st.sampled_from(fixeds))))[0]
              for _ in range(draw(st.integers(0, 4)))]
-    pool = [State(atoms, store, tokens) for atoms, _, store, tokens in pool]
+    pools = [[State(atoms, store, tokens, fixed) for atoms, _, store, tokens in pool]
+             for fixed in fixeds]
     ops = []
     for _ in range(draw(st.integers(1, 16))):
         side = draw(st.integers(0, 1))
@@ -283,7 +288,7 @@ def index_runs(draw):
             ops.append((side, op, draw(st.integers(0, 8)), ()))
             continue
         skip = draw(st.frozensets(st.integers(0, 8))) if op == "find" else ()
-        ops.append((side, op, draw(st.sampled_from(pool)), skip))
+        ops.append((side, op, draw(st.sampled_from(pools[side])), skip))
     return fixeds, ops
 
 
@@ -303,8 +308,8 @@ def test_the_index_agrees_with_a_list_scan(run):
             i for i, (a, b, t) in enumerate(held)
             if i not in skip and states_equivalent_mod(atoms, store, tokens, a, b, t, fixed)
         ), None)
-        # a fresh copy, read for no fixed set yet, is found where the object is
-        assert index.find(State(atoms, store, tokens), skip) == first
+        # a fresh copy, not read yet, is found where the object is
+        assert index.find(State(atoms, store, tokens, fixed), skip) == first
         if op == "add":
             assert index.add(state) == (first is None)
             if first is None:
@@ -314,9 +319,8 @@ def test_the_index_agrees_with_a_list_scan(run):
             if op == "push":
                 index.push(state)
                 held.append((atoms, store, tokens))
-        # whatever the object was read for before, its key is this index's
-        key, _ = state_fingerprint(atoms, store, tokens, fixed)
-        assert state.fingerprint(index.fixed)[0] == key
+        # the object is read for its own fixed set, the index's
+        assert state.reading.key == state_fingerprint(atoms, store, tokens, fixed).key
 
 
 # ------------------------------------------------------------ work gate
@@ -353,22 +357,22 @@ def test_the_diff_checks_a_matched_final_no_more():
 
 
 @contextlib.contextmanager
-def items_built():
-    """Record each ``Reading`` whose search items are built."""
-    built = []
-    prop = equivalence.Reading.items
+def computed(cls, name):
+    """Record each object whose cached property ``cls.name`` is computed."""
+    objects = []
+    prop = getattr(cls, name)
 
-    def build(reading):
-        built.append(reading)
-        return prop.func(reading)
+    def compute(obj):
+        objects.append(obj)
+        return prop.func(obj)
 
-    counting = functools.cached_property(build)
-    counting.__set_name__(equivalence.Reading, "items")
-    equivalence.Reading.items = counting
+    counting = functools.cached_property(compute)
+    counting.__set_name__(cls, name)
+    setattr(cls, name, counting)
     try:
-        yield built
+        yield objects
     finally:
-        equivalence.Reading.items = prop
+        setattr(cls, name, prop)
 
 
 def test_independent_atoms_build_each_states_items_once():
@@ -377,7 +381,7 @@ def test_independent_atoms_build_each_states_items_once():
     # them for both sides of every check made 1,136)
     program = parse_program("r @ p(X) <=> q(X). v @ q(Y) <=> s(Y).")
     goal = parse_goal(", ".join(f"p(X{i})" for i in range(5)))
-    with items_built() as built:
+    with computed(equivalence.Reading, "items") as built:
         res, checks, _ = _run(search, lambda: search.explore(program, goal))
     assert (res.expanded, checks) == (811, 568)
     assert len(built) <= 811
@@ -386,10 +390,12 @@ def test_independent_atoms_build_each_states_items_once():
 def test_a_lookup_reads_only_the_held_keys_it_looks_up(monkeypatch):
     # six interchangeable atoms: 2,917 lookups into shapes of up to 90
     # states. A scan of the whole shape read a held key per position
-    # (89,151); the index keys each held state once, when another of its
-    # shape first meets it, and then goes to the query's key alone
-    reads, lookups, pushes = [0], [0], [0]
-    fingerprint, find, push = State.fingerprint, StateIndex.find, StateIndex.push
+    # (89,151); the index reads each held state once, when another of its
+    # shape first meets it, and each new state once, when its shape is
+    # held. The state keeps its reading, so no state is read twice (a
+    # reading cached per fixed set was asked for 3,615 times)
+    lookups, pushes = [0], [0]
+    find, push = StateIndex.find, StateIndex.push
 
     def counting(counter, method):
         def counted(*args):
@@ -397,12 +403,39 @@ def test_a_lookup_reads_only_the_held_keys_it_looks_up(monkeypatch):
             return method(*args)
         return counted
 
-    monkeypatch.setattr(State, "fingerprint", counting(reads, fingerprint))
     monkeypatch.setattr(StateIndex, "find", counting(lookups, find))
     monkeypatch.setattr(StateIndex, "push", counting(pushes, push))
     program = parse_program("r @ p(X) <=> q(X). v @ q(Y) <=> s(Y).")
     goal = parse_goal(", ".join(f"p(X{i})" for i in range(6)))
-    with counted(search, "states_equivalent_mod") as checks:
+    with counted(search, "states_equivalent_mod") as checks, \
+            counted(search, "state_fingerprint") as prints, \
+            computed(State, "reading") as read:
         res = search.explore(program, goal)
     assert (res.expanded, lookups[0], pushes[0], checks[0]) == (2917, 2917, 729, 2188)
-    assert reads[0] <= lookups[0] + pushes[0]
+    assert prints[0] == len(read) <= 2916
+    assert len({id(state) for state in read}) == len(read)
+
+
+def test_a_state_made_for_another_fixed_set_is_rejected():
+    # an index compares states away from its own fixed set: a state made
+    # for another one is refused, before it is held or read, not read again
+    program = parse_program("r @ p(X) <=> q(X).")
+    finals = search.explore(program, parse_goal("p(X), p(Y)")).finals
+    (final,) = finals
+    x, y = sorted(final.fixed, key=lambda v: v.name)
+    index = StateIndex({x})
+    for call in (index.push, index.find, index.add):
+        with pytest.raises(ValueError):
+            call(final)
+    assert index.find(State(final.atoms, final.builtins, final.tokens, frozenset({x}))) is None
+    # a lazy view is refused before its view is built
+    cfg = annotated.initial(parse_goal("p(X), p(Y)"))
+    lazy = analysis._LazyView(cfg, frozenset({y}))
+    for call in (index.push, index.find):
+        with pytest.raises(ValueError):
+            call(lazy)
+    assert lazy._view is None
+    # an equal set made apart from the index's is the same fixed set
+    same = StateIndex([x, y])
+    same.push(final)
+    assert same.find(final) == 0

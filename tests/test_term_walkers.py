@@ -510,19 +510,24 @@ def test_match_term_matches_the_recursive_reference(ta, tb, rho, fixed, related)
     {Var("X"), Var("_L1")},
 )
 def test_render_answer_matches_the_two_solve_reference(store, atoms, goal_vars):
-    final = State(tuple(IdAtom(a, i) for i, a in enumerate(atoms, 1)), store, frozenset())
-    got = render_answer(final, goal_vars)
+    final = State(
+        tuple(IdAtom(a, i) for i, a in enumerate(atoms, 1)), store, frozenset(),
+        frozenset(goal_vars),
+    )
+    got = render_answer(final)
     # project keeps the atoms' variables too, so any _L<n> can be captured
     apart = named_apart(vars_of((atoms, store.equations)) | goal_vars)
     if not apart:
         assert got == ref_render_answer(final, goal_vars)
         return
+    renamed_goal_vars = frozenset(apart.get(v, v) for v in goal_vars)
     renamed = State(
         rename_vars(final.atoms, apart),
         Store(rename_vars(store.equations, apart), store.failed),
         frozenset(),
+        renamed_goal_vars,
     )
-    want = ref_render_answer(renamed, {apart.get(v, v) for v in goal_vars})
+    want = ref_render_answer(renamed, renamed_goal_vars)
     assert got.failed == want.failed
     assert_renames_onto(
         (want.atoms, want.builtins), (got.atoms, got.builtins),
@@ -615,5 +620,5 @@ def test_render_answer_solves_each_answer_once(monkeypatch):
     monkeypatch.setattr(constraints, "unify", counting)
     monkeypatch.setattr(search, "unify", counting, raising=False)
     for fs in finals:
-        render_answer(fs, res.goal_vars)
+        render_answer(fs)
     assert len(calls) == len(finals)

@@ -41,7 +41,7 @@ from .terms import (
     unify,
     vars_in_order,
     vars_of,
-    walk,
+    walker,
 )
 
 
@@ -77,8 +77,9 @@ class Store:
         of ``mgu()`` swaps each free class's root for its least member."""
         if self._solved is None:
             mgu, least = self.mgu(), {}
+            end = walker(mgu)
             for v in mgu:
-                r = walk(v, mgu)
+                r = end(v)
                 if isinstance(r, Var) and v.name < least.get(r, r).name:
                     least[r] = v
             mgu = dict(mgu) if least else mgu

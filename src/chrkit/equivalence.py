@@ -23,15 +23,27 @@ per constrained variable, read off its normal form (``Store.solved()``)
 with each free class replaced by one class variable: two satisfiable
 stores are equivalent under a renaming iff their facts correspond.
 ``state_fingerprint`` reads a state once, for the one set of fixed
-variables it is compared under, as a ``Reading``: its variable profiles,
-token roles and atom labels, which key the atoms in the search, as the
-initial colouring keys individualization and refinement (McKay & Piperno,
-JSC 2014), and its fingerprint ``key``, which no renaming the check
-allows can change: callers keep the search off most pairs of states by
-comparing keys (the symmetry reduction of explicit-state model checking).
-A reading also holds its search plan, built on its first exact check: its
-items, their pools and their order, so a state that meets many checks
-pays for its setup once.
+variables it is compared under, as a ``Reading`` with a ``key`` that no
+renaming the check allows can change: callers keep the search off most
+pairs of states by comparing keys (the symmetry reduction of
+explicit-state model checking, Ip & Dill, FMSD 1996).
+
+A non-failed state gets a canonical key when the renaming-invariant sort
+keys of its atoms are pairwise distinct and its store is flat. Then the
+sorted atoms number every other variable, and the state's form follows
+from that numbering alone, as individualization and refinement (McKay &
+Piperno, JSC 2014) needs no individualization when the initial colouring
+is already discrete: two such states are equivalent iff their keys are
+equal, and the check is that comparison. Two atoms with one sort key (a
+tie) would need individualization, and a nested binding or a variable
+that only the store binds over an unnamed class would need the classes
+numbered apart from the atoms; such a state keeps its fingerprint key and
+the search. The fingerprint is built from its variable profiles, token
+roles and atom labels, which also key the atoms in the search, as the
+initial colouring keys individualization and refinement. Its reading
+holds its search plan, built on its first exact check: its items, their
+pools and their order, so a state that meets many checks pays for its
+setup once.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ from typing import Dict, Optional
 from .constraints import Store, stores_equivalent
 from .terms import (
     Compound, Equation, FalseConstraint, Var, rename_vars, vars_in_order, vars_of, walk,
+    walker,
 )
 from .syntax import IdAtom, Token, clean_tokens, print_item
 
@@ -244,31 +257,158 @@ def _multiset(items) -> frozenset:
     return frozenset(Counter(items).items())
 
 
-class Reading:
-    """A state read once for its fixed set: the cleaned tokens and the
-    fingerprint ``key`` (None for every failed state); for a non-failed
-    state also its ``var_profiles``, identifiers' token roles, atom labels
-    and, on first use, search items with their pools and plan.
+def _canonical_form(atoms, mgu, tokens, roles, fixed) -> Optional[tuple]:
+    """The canonical form of a non-failed state whose atoms have pairwise
+    distinct sort keys and whose store is flat, or None.
 
-    The key combines three multisets: the atom labels, each paired with
-    its token roles; the profiles; and the cleaned tokens over the atom
-    labels. It is equal for any two states ``states_equivalent_mod``
-    identifies."""
+    An atom's sort key is its preorder with each fixed variable read as
+    its name and each other variable as the fixed names of its free class
+    or the top symbol of its bound class, paired with its token roles. The
+    store is flat when no argument of a bound class's term walks to a
+    compound with arguments, and a bound variable that only the store
+    mentions must be bound over classes that the fixed or atom variables
+    name. Each condition holds for all states ``states_equivalent_mod``
+    identifies or for none, and two states that meet them are equivalent
+    iff their forms are equal. The form holds: the atoms in key order, each
+    its key and its other variables numbered by first occurrence; for each
+    fixed variable by name, then each numbered one, its class or its
+    binding, over classes numbered by first occurrence; each numbered
+    class's count of variables only the store mentions; the sorted sizes
+    of the classes only the store mentions; the multiset of the bindings
+    of the variables only the store mentions; and the tokens over atom
+    positions. The carried mgu is read through one memoised walk, never
+    resolved."""
+    end = walker(mgu)
+    order = sorted(fixed, key=lambda v: v.name)
+    names: Dict[Var, list] = {}
+    for v in order:
+        r = end(v)
+        if isinstance(r, Var):
+            names.setdefault(r, []).append(v.name)
+    keyed: Dict[tuple, tuple] = {}
+    for a in atoms:
+        # the tags "", "~" and "!" are no functor's name, so two keys
+        # compare element by element only where both hold the same kind
+        out, others, stack = [], [], [a.atom]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Var):
+                if t in fixed:
+                    out.append(("", t.name))
+                    continue
+                others.append(t)
+                r = end(t)
+                if isinstance(r, Var):
+                    out.append(("~", tuple(names.get(r, ()))))
+                else:
+                    out.append(("!", r.functor, len(r.args)))
+            else:
+                out.append((t.functor, len(t.args)))
+                stack.extend(reversed(t.args))
+        key = (tuple(out), roles.get(a.ident, ()))
+        if key in keyed:
+            return None
+        keyed[key] = (others, a.ident)
+    keyed = sorted(keyed.items())
+    numbered: Dict[Var, int] = {}
+    form_atoms = tuple(
+        (key, tuple(numbered.setdefault(v, len(numbered)) for v in others))
+        for key, (others, _) in keyed
+    )
+    classes: Dict[Var, int] = {}
+
+    def name(r):
+        return classes.setdefault(r, len(classes))
+
+    def encode(v, number):
+        """v's class or its binding, each class read by ``number``; None
+        for a binding that nests a compound or has a class left unnamed."""
+        r = end(v)
+        if isinstance(r, Var):
+            return number(r)
+        out = [r.functor]
+        for x in map(end, r.args):
+            if isinstance(x, Var):
+                out.append(number(x))
+            elif x.args:
+                return None
+            else:
+                out.append(x.functor)
+        return None if None in out else tuple(out)
+
+    reached = [encode(v, name) for v in order + list(numbered)]
+    if None in reached:
+        return None
+    counts, only, values = [0] * len(classes), Counter(), []
+    seen = {*fixed, *numbered}
+    for k, t in mgu.items():
+        for v in (k, t) if isinstance(t, Var) else (k, *t.args):
+            if v in seen or not isinstance(v, Var):
+                continue
+            seen.add(v)
+            r = end(v)
+            if isinstance(r, Var):
+                if r in classes:
+                    counts[classes[r]] += 1
+                else:
+                    only[r] += 1
+                continue
+            values.append(encode(v, classes.get))
+            if values[-1] is None:
+                return None
+    pos = {ident: k for k, (_, (_, ident)) in enumerate(keyed)}
+    return (
+        form_atoms,
+        tuple(reached),
+        tuple(counts),
+        tuple(sorted(only.values())),
+        _multiset(values),
+        frozenset((t.rule_name, tuple(pos[i] for i in t.idents)) for t in tokens),
+    )
+
+
+class Reading:
+    """A state read once for its fixed set: the cleaned tokens, its ``key``
+    (None for every failed state) and whether that key is ``canonical``;
+    for a non-failed state also the identifiers' token roles and, on first
+    use, its ``var_profiles``, atom labels and search items with their
+    pools and plan.
+
+    A state whose ``_canonical_form`` exists is keyed by it, and two such
+    states are equivalent iff their keys are equal. Any other non-failed
+    state is keyed by its fingerprint, which combines three multisets: the
+    atom labels, each paired with its token roles; the profiles; and the
+    cleaned tokens over the atom labels. It is equal for any two states
+    ``states_equivalent_mod`` identifies, and the exact search decides
+    between states that share it."""
 
     def __init__(self, atoms, store: Store, tokens, fixed: frozenset):
         self.atoms, self.store, self.fixed = atoms, store, fixed
         self.tokens = clean_tokens(tokens, atoms)
-        self.key = None
+        self.key, self.canonical = None, False
         if store.failed:
             return
-        self.profiles = var_profiles(atoms, store, fixed)
         self.roles = _token_roles(self.tokens)
-        self.labels = {a.ident: _label(a.atom, self.profiles) for a in atoms}
-        self.key = (
-            _multiset((self.labels[a.ident], self.roles.get(a.ident, ())) for a in atoms),
-            _multiset(self.profiles.values()),
-            _multiset((t.rule_name, tuple(self.labels[i] for i in t.idents)) for t in self.tokens),
-        )
+        self.key = _canonical_form(atoms, store.mgu(), self.tokens, self.roles, fixed)
+        self.canonical = self.key is not None
+        if not self.canonical:
+            self.key = (
+                _multiset((self.labels[a.ident], self.roles.get(a.ident, ())) for a in atoms),
+                _multiset(self.profiles.values()),
+                _multiset(
+                    (t.rule_name, tuple(self.labels[i] for i in t.idents)) for t in self.tokens
+                ),
+            )
+
+    @cached_property
+    def profiles(self) -> Dict[Var, tuple]:
+        """The ``var_profiles`` of the state."""
+        return var_profiles(self.atoms, self.store, self.fixed)
+
+    @cached_property
+    def labels(self) -> Dict:
+        """Each atom's ``_label`` by identifier."""
+        return {a.ident: _label(a.atom, self.profiles) for a in self.atoms}
 
     @cached_property
     def items(self) -> list:
@@ -326,6 +466,8 @@ def states_equivalent_mod(
     fixed = frozenset(fixed_vars)
     a = reading_a or Reading(chr_a, builtins_a, tokens_a, fixed)
     b = reading_b or Reading(chr_b, builtins_b, tokens_b, fixed)
+    if a.canonical or b.canonical:
+        return a.key == b.key
     return _run(*b.plan, *a.pools, b.tokens, a.tokens, fixed)
 
 

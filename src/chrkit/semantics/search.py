@@ -13,11 +13,15 @@ pairwise inequivalent; of its failed finals, all equivalent, the answers
 keep the first. ``StateIndex`` is the one lookup modulo renaming, which the
 verifiers' histories and answer diff use too: a state meets only the held
 states of its multiset of atom shapes, is read (``state_fingerprint``)
-only when its shape is held, and meets the exact ``states_equivalent_mod``
-only on an equal fingerprint key, found by one dict lookup in its shape,
-in push order. Each ``State`` is made for its search's goal variables, so
-it is read once, and keeps its ``Reading``, key included; an index
-refuses a state made for another fixed set.
+only when its shape is held, and meets ``states_equivalent_mod`` only on
+an equal key, found by one dict lookup in its shape, in push order. A
+state whose atoms differ in their sort keys and whose store is flat is
+keyed by its canonical form, and the check on an equal key is a hit with
+no search; a state with a tie between atoms or a nested store is keyed
+by its fingerprint, and the check on an equal key is the exact search.
+Each ``State`` is made for its search's goal variables, so it is read
+once, and keeps its ``Reading``, key included; an index refuses a state
+made for another fixed set.
 
 Every search here and in ``analysis`` is a loop body over one ``Walk``, a
 depth-first walk of the derivation tree. Budgets make every search total:
@@ -108,17 +112,17 @@ class State:
 
     @cached_property
     def reading(self):
-        """The state's ``Reading``, its fingerprint ``key`` included, read
-        on first use."""
+        """The state's ``Reading``, its canonical or fingerprint ``key``
+        included, read on first use."""
         return state_fingerprint(self.atoms, self.builtins, self.tokens, self.fixed)
 
 
 class StateIndex:
     """States held by position, looked up modulo renaming away from ``fixed``.
 
-    Each shape holds its states by fingerprint key. A state is read when
-    it first meets another of its shape. Every state must be made for
-    ``fixed``."""
+    Each shape holds its states by key, canonical or fingerprint. A state
+    is read when it first meets another of its shape. Every state must be
+    made for ``fixed``."""
 
     def __init__(self, fixed):
         self.fixed = frozenset(fixed)

@@ -194,47 +194,77 @@ def walk(t: Term, sub: Subst) -> Term:
     return t
 
 
+def walker(sub: Subst):
+    """``walk`` through ``sub`` for many terms: the function returned
+    records the end of every link it passes, so the walks of any number of
+    variables follow each link once in all."""
+    ends: dict = {}
+
+    def end(t: Term) -> Term:
+        path = []
+        while isinstance(t, Var):
+            e = ends.get(t)
+            if e is not None:
+                t = e
+                break
+            nxt = sub.get(t)
+            if nxt is None or nxt is t:
+                break
+            path.append(t)
+            t = nxt
+        for v in path:
+            ends[v] = t
+        return t
+
+    return end
+
+
 def _rebuild(t: Term, sub: Subst, memo: Optional[dict]) -> Term:
     """The term with each variable V replaced by its image through ``sub``.
 
     With a ``memo`` dict, ``sub`` is triangular: the image is the end of V's
-    chain of bindings, itself rebuilt, and it is recorded in ``memo``, which
-    is read first, so a variable is resolved once per memo. Without one,
-    the image is ``sub.get(V, V)`` as it is (a renaming, or a substitution
-    applied in one simultaneous step)."""
+    chain of bindings, itself rebuilt, and it is recorded in ``memo`` for
+    every variable of the chain, which is read first, so a link is followed
+    once per memo. Without one, the image is ``sub.get(V, V)`` as it is (a
+    renaming, or a substitution applied in one simultaneous step)."""
     # a frame per compound: functor, iterator over args, args rebuilt so
-    # far, the variable whose image it is (or None); the bottom frame
-    # collects the result
-    stack = [(None, iter((t,)), [], None)]
+    # far, the variables whose image it is; the bottom frame collects the
+    # result
+    stack = [(None, iter((t,)), [], ())]
     while True:
         functor, rest, done, _ = stack[-1]
         for a in rest:
-            v = None
+            path = ()
             if isinstance(a, Var):
                 if memo is None:
                     done.append(sub.get(a, a))
                     continue
-                if a in memo:
-                    done.append(memo[a])
-                    continue
-                v, a = a, walk(a, sub)
+                path = []
+                while isinstance(a, Var) and a not in memo:
+                    nxt = sub.get(a)
+                    if nxt is None or nxt is a:
+                        break
+                    path.append(a)
+                    a = nxt
                 if isinstance(a, Var):
-                    memo[v] = a
+                    a = memo.get(a, a)
+                    for v in path:
+                        memo[v] = a
                     done.append(a)
                     continue
             if not a.args:
-                if v is not None:
+                for v in path:
                     memo[v] = a
                 done.append(a)
                 continue
-            stack.append((a.functor, iter(a.args), [], v))
+            stack.append((a.functor, iter(a.args), [], path))
             break
         else:
-            _, _, _, v = stack.pop()
+            _, _, _, path = stack.pop()
             if not stack:
                 return done[0]
             term = Compound(functor, tuple(done))
-            if v is not None:
+            for v in path:
                 memo[v] = term
             stack[-1][2].append(term)
 

@@ -439,6 +439,37 @@ def test_conjoining_a_thousand_linked_equations_does_not_recurse(order):
     assert not satisfiable(conjoin(s, [eq(Var("X1000"), Var("X0"))]))
 
 
+class _CountingSubst(dict):
+    """A substitution that counts the lookups made through ``get``."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("root_least", [True, False], ids=["root-least", "head-least"])
+def test_solved_follows_each_link_of_a_variable_chain_once(root_least):
+    # V0 = V1, V1 = V2, ... conjoined a link at a time leaves the chain
+    # V0 -> V1 -> ... -> Vn in the carried mgu. Walking it from every
+    # variable, to find each class's least member and to resolve each
+    # binding, followed O(n^2) links; each walk now records the end of
+    # every link it passes. When the head is the least member, the normal
+    # form is resolved from a copy, and only the first walk is counted
+    n = 2000
+    names = [f"V{k:05d}" for k in range(n + 1)]
+    xs = [Var(name) for name in (names[::-1] if root_least else names)]
+    store = TRUE
+    for x, y in zip(xs, xs[1:]):
+        store = conjoin(store, [eq(x, y)])
+    mgu = _CountingSubst(store.mgu())
+    sigma = Store(store.equations, _mgu=mgu).solved()
+    least = min(xs, key=lambda v: v.name)
+    assert sigma == {x: least for x in xs if x is not least}
+    assert mgu.lookups <= 3 * n
+
+
 COPY = parse_program(
     "r @ p(s(X), Y) <=> Y = s(Z), p(X, Z), d(Z).\n"
     "z @ p(z, Y) <=> Y = z.\n"

@@ -278,6 +278,8 @@ def test_twins_share_fingerprint_and_profiles(data, state, fixed):
     assert read_a.key == read_b.key
     # every failed state shares the key None and is read for no profiles
     assert (read_a.key is None) == state[2].failed
+    # a canonical key is certified for both twins or for neither
+    assert read_a.canonical == read_b.canonical
     if read_a.key is not None:
         assert {rho.get(v, v): p for v, p in read_a.profiles.items()} == read_b.profiles
     assert exact(state, twin, fixed)
@@ -303,9 +305,16 @@ def test_pruned_check_agrees_with_the_reference(data, state, fixed):
             ) == want
 
 
+def state_of(atoms, *eqs):
+    """A state of the given atoms, identified 1, 2, ... in order, over the
+    given equations, with no tokens."""
+    return (tuple(IdAtom(t, i) for i, t in enumerate(atoms, 1)), list(eqs),
+            conjoin(TRUE, eqs), frozenset())
+
+
 def eq_state(*eqs):
     """A state with no atoms and no tokens over the given equations."""
-    return (), list(eqs), conjoin(TRUE, eqs), frozenset()
+    return state_of((), *eqs)
 
 
 X, Y, Z, U, V = VARS
@@ -320,6 +329,62 @@ COMPONENT = eq_state(Equation(X, f(Y)), Equation(Z, Compound("g", (Y,))))
 @example(COMPONENT, eq_state(Equation(X, f(Y)), Equation(Z, Compound("g", (U,)))), frozenset())
 def test_exact_check_agrees_with_the_reference_on_any_two_states(sa, sb, fixed):
     assert exact(sa, sb, fixed) == reference(sa, sb, fixed)
+
+
+@st.composite
+def pairs(draw):
+    """A state, another one (its twin, a near miss of the twin or any
+    state) and a fixed set."""
+    state, fixed = draw(states()), draw(fixed_st)
+    twin, _ = draw(twins(state, fixed))
+    other = draw(st.one_of(st.just(twin), near_misses(twin), states()))
+    return state, other, fixed
+
+
+def atom_p(*args):
+    return Compound("p", args)
+
+
+# the refused states: two atoms with one sort key (p(X) and p(Y), told
+# apart only by which of them q shares a variable with), a nested binding
+# (X = f(g(Z, Z)), where g alone tells Z from U) and a variable only the
+# store mentions bound over a class no atom names (Z, shared by Y and V in
+# one state only); the nested and unnamed pairs are not equivalent, yet
+# one level of bindings over named classes reads them alike
+TIE = (state_of([atom_p(X), atom_p(Y), Compound("q", (X,))]),
+       state_of([atom_p(X), atom_p(Y), Compound("q", (Y,))]))
+NESTED = (state_of([Compound("q", (X, Z))], Equation(X, f(g(Z, Z)))),
+          state_of([Compound("q", (X, Z))], Equation(X, f(g(U, U)))))
+UNNAMED = (state_of([atom_p(X)], Equation(Y, f(Z)), Equation(V, g(Z, Z))),
+           state_of([atom_p(X)], Equation(Y, f(Z)), Equation(V, g(U, U))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(pairs())
+@example((*TIE, frozenset()))
+@example((*NESTED, frozenset()))
+@example((*UNNAMED, frozenset()))
+# two classes only the store mentions, of equal size, paired apart
+@example((state_of([], Equation(Y, Z), Equation(U, V)),
+          state_of([], Equation(Y, U), Equation(V, Z)), frozenset()))
+# functors named like the tags of a profile: a sort key never compares a
+# functor's arity with a tag's payload
+@example((state_of([atom_p(const("bound")), atom_p(const("free")), atom_p(X), atom_p(Y)],
+                   Equation(X, const("bound"))),
+          state_of([atom_p(Y), atom_p(X), atom_p(const("free")), atom_p(const("bound"))],
+                   Equation(Y, const("bound"))), frozenset()))
+def test_a_canonical_key_decides_equivalence(pair):
+    sa, sb, fixed = pair
+    want = reference(sa, sb, fixed)
+    read_a, read_b = fingerprint(sa, fixed), fingerprint(sb, fixed)
+    if read_a.canonical or read_b.canonical:
+        assert (read_a.key == read_b.key) == want
+    assert exact(sa, sb, fixed, reading_a=read_a, reading_b=read_b) == want
+
+
+@pytest.mark.parametrize("pair", [TIE, NESTED, UNNAMED], ids=["tie", "nested", "unnamed"])
+def test_refused_states_keep_the_fingerprint(pair):
+    assert not any(fingerprint(s, frozenset()).canonical for s in pair)
 
 
 def test_fingerprint_sees_dead_local_bindings():
@@ -386,6 +451,47 @@ def test_linear_branch_states_never_meet_the_exact_check(monkeypatch):
     res = explore(p, parse_goal("p(N)"), max_applies=150)
     assert res.expanded == 151
     assert calls["states"] == 0
+
+
+def _counted(monkeypatch, owner, name):
+    """Count the calls made through the owner's attribute ``name``."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_independent_atoms_are_deduplicated_by_canonical_keys(monkeypatch):
+    # six atoms on goal variables: every state's atoms are told apart by
+    # the fixed names in them, so each is keyed by its canonical form and
+    # each of the 2,188 hits is one key comparison, no exact search
+    calls = _count(monkeypatch)
+    runs = _counted(monkeypatch, equivalence, "_run")
+    items = equivalence.Reading.items
+    built = []
+    monkeypatch.setattr(equivalence.Reading, "items",
+                        property(lambda r: built.append(r) or items.func(r)))
+    p = parse_program("r @ p(X) <=> q(X). v @ q(Y) <=> s(Y).")
+    res = explore(p, parse_goal(", ".join(f"p(X{i})" for i in range(6))))
+    assert res.expanded == 2917
+    assert calls["states"] == 2188
+    assert runs[0] == len(built) == 0
+
+
+def test_a_nested_store_is_read_without_its_normal_form(monkeypatch):
+    # X = s(Y) nests every state's store: no state is canonical, none is
+    # resolved for its form, and the fingerprints alone tell them apart
+    calls = _count(monkeypatch)
+    solved = _counted(monkeypatch, Store, "solved")
+    p = parse_program("r @ p(X) <=> X = s(Y), p(Y).")
+    res = explore(p, parse_goal("p(N)"), max_applies=300)
+    assert res.expanded == 301
+    assert calls["states"] == solved[0] == 0
 
 
 def _count_matches(monkeypatch):

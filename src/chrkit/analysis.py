@@ -137,6 +137,10 @@ def check_normal_termination(
                 walk.truncated,
             )
         history.push(view)
+        if walk.at_budget(depth):
+            if annotated.firings(program, cfg, fresh, first=True):
+                walk.truncated = True
+            continue
         walk.expand(depth, [
             (child, (trace, (firing.rule.name, firing.idents)))
             for firing, child in annotated.successors(program, cfg, fresh)
@@ -214,7 +218,7 @@ def probe_solve_orders(
             history.push(view)
         # checked before the children are built: at the budget even a leaf
         # truncates, and no cycle check runs beyond it
-        if steps >= max_steps:
+        if walk.at_budget(steps):
             walk.truncated = True
             continue
         children = []

@@ -76,11 +76,16 @@ def apply_firing(cfg: Config, firing: Firing) -> Config:
     )
 
 
-def successors(program, cfg: Config, fresh: FreshSupply = None) -> List[Tuple[Firing, Config]]:
+def firings(program, cfg: Config, fresh: FreshSupply = None, first: bool = False) -> List[Firing]:
+    """The configuration's firings, none on a failed store; with ``first``
+    only the first, if any (see ``enumerate_firings``)."""
     if cfg.failed:
         return []
-    firings = enumerate_firings(program, cfg.atoms, cfg.builtins, cfg.tokens, fresh)
-    return [(f, apply_firing(cfg, f)) for f in firings]
+    return enumerate_firings(program, cfg.atoms, cfg.builtins, cfg.tokens, fresh, first)
+
+
+def successors(program, cfg: Config, fresh: FreshSupply = None) -> List[Tuple[Firing, Config]]:
+    return [(f, apply_firing(cfg, f)) for f in firings(program, cfg, fresh)]
 
 
 def drain(cfg: Config):

@@ -20,7 +20,8 @@ entailment check, instantiated with the matched terms.
 Each rule still draws fresh names for all its variables once per call, in
 program order, so the names a derivation hands out do not depend on which
 rules fire; but a rule is renamed apart only once one of its firings has
-passed the token and guard checks.
+passed the token and guard checks. A call that asks only for the first
+firing stops matching there, and the rules after it still draw their names.
 """
 
 from __future__ import annotations
@@ -134,14 +135,19 @@ def head_assignments(heads, ordered, index, mgu=None):
             stack.pop()
 
 
-def enumerate_firings(program, atoms, builtins: Store, tokens, fresh: FreshSupply = None) -> List[Firing]:
-    """All firings of program rules on the given identified atoms.
+def enumerate_firings(
+    program, atoms, builtins: Store, tokens, fresh: FreshSupply = None, first: bool = False
+) -> List[Firing]:
+    """All firings of program rules on the given identified atoms, or with
+    ``first`` only the first of them, if any.
 
     Enumeration order is deterministic: program order, then assignments over
     atoms sorted by identifier. Each rule draws fresh names for its
     variables once per call, from ``fresh``, which must avoid the atoms'
     variables (by default a ``FreshSupply()`` that does); it is renamed
-    apart with them only when it fires. On a failed store every assignment
+    apart with them only when it fires. With ``first``, the rules after the
+    first firing are not matched but still draw their names, so the supply
+    is left where a full call leaves it. On a failed store every assignment
     fires.
     """
     ordered = sorted(atoms, key=lambda a: a.ident)
@@ -151,6 +157,8 @@ def enumerate_firings(program, atoms, builtins: Store, tokens, fresh: FreshSuppl
     out: List[Firing] = []
     for idx, rule in enumerate(program.rules):
         mapping = {v: fresh.fresh() for v in rule.variables}
+        if first and out:
+            continue
         renamed = None
         for chosen, theta in head_assignments(rule.heads, ordered, index, mgu):
             combo = tuple(ordered[j] for j in chosen)
@@ -168,4 +176,6 @@ def enumerate_firings(program, atoms, builtins: Store, tokens, fresh: FreshSuppl
             nk = len(rule.kept)
             eqs = argument_equations(combo, renamed.heads)
             out.append(Firing(idx, renamed, combo[:nk], combo[nk:], eqs, token))
+            if first:
+                break
     return out

@@ -27,7 +27,11 @@ Every search here and in ``analysis`` is a loop body over one ``Walk``, a
 depth-first walk of the derivation tree. Budgets make every search total:
 ``max_applies`` bounds the firing depth of a branch and ``max_states`` the
 number of expanded nodes. Exceeding either sets the ``truncated`` flag
-instead of producing wrong answers.
+instead of producing wrong answers. A loop asks ``Walk.at_budget`` before
+it builds a node's children, and a node at the depth budget builds none:
+it looks for one firing, which truncates the walk, or is final without
+one (``lockstep_run`` still enumerates every firing there, to compare the
+two sides, and applies none).
 """
 
 from __future__ import annotations
@@ -51,7 +55,9 @@ class Walk:
     Iterating yields ``(node, depth)``, first children first. Each node
     yielded counts in ``expanded``; the walk stops with ``truncated`` set
     instead of yielding node ``max_states + 1``. The loop body hands a
-    node's children back through ``expand``.
+    node's children back through ``expand``, and builds them only when the
+    node is not ``at_budget``: a node at the depth budget has no children
+    queued, so the loop only asks whether it has one, which truncates.
     """
 
     def __init__(self, root, max_depth: int, max_states: int):
@@ -70,6 +76,11 @@ class Walk:
                 return
             yield node, depth
 
+    def at_budget(self, depth: int) -> bool:
+        """Is a node at ``depth`` at the depth budget, so that its children
+        would not be queued?"""
+        return depth >= self.max_depth
+
     def expand(self, depth: int, children) -> bool:
         """Queue the children of a node at ``depth``, one level deeper.
 
@@ -78,7 +89,7 @@ class Walk:
         """
         if not children:
             return False
-        if depth >= self.max_depth:
+        if self.at_budget(depth):
             self.truncated = True
             return False
         self.stack.extend((child, depth + 1) for child in reversed(children))
@@ -222,6 +233,12 @@ def explore(
         state = State(mod.chr_atoms(cfg), cfg.builtins, cfg.tokens, goal_vars)
         if dedup and not visited.add(state):
             continue
+        if walk.at_budget(depth):
+            if mod.firings(program, cfg, fresh, first=True):
+                walk.truncated = True
+            else:
+                finals.append(state)
+            continue
         succ = mod.successors(program, cfg, fresh)
         if not succ:
             finals.append(state)
@@ -349,15 +366,22 @@ def lockstep_run(
             continue
         if not configs_correspond(cs, ca):
             return report(f"states diverged after draining node {walk.expanded}")
-        succ_s = standard.successors(prog_std, cs, fresh_s)
-        succ_a = annotated.successors(prog_ann, ca, fresh_a)
-        sig_s = [(f.rule_index, f.idents) for f, _ in succ_s]
-        sig_a = [(f.rule_index, f.idents) for f, _ in succ_a]
+        # enumerated in full even at the budget, where the firings are
+        # compared but none is applied
+        firings_s = standard.firings(prog_std, cs, fresh_s)
+        firings_a = annotated.firings(prog_ann, ca, fresh_a)
+        sig_s = [(f.rule_index, f.idents) for f in firings_s]
+        sig_a = [(f.rule_index, f.idents) for f in firings_a]
         if sig_s != sig_a:
             return report(f"firings differ at node {walk.expanded}: {sig_s} vs {sig_a}")
-        if not succ_s:
+        if not firings_s:
             finals += 1
-        children = [(s[1], a[1]) for s, a in zip(succ_s, succ_a)]
-        if walk.expand(depth, children):
-            apply_count += len(children)
+        elif walk.at_budget(depth):
+            walk.truncated = True
+        else:
+            walk.expand(depth, [
+                (standard.apply_firing(cs, s), annotated.apply_firing(ca, a))
+                for s, a in zip(firings_s, firings_a)
+            ])
+            apply_count += len(firings_s)
     return report(None)

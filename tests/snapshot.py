@@ -36,8 +36,8 @@ tests/fixtures/snapshot_counts.json with, per family, the exact checks
 
     PYTHONPATH=src python3 tests/snapshot.py
 
-A case that takes over a second to record is left out: those in ``SLOW``,
-and any other, which the script names. tests/test_snapshot.py draws every recorded case again and
+A case that takes over a second to record is left out, and the script
+names it. tests/test_snapshot.py draws every recorded case again and
 compares.
 """
 
@@ -80,10 +80,6 @@ FAMILIES = {
     "collision": 1,
     "known-wrong": 3,
 }
-
-# cases that took over a second to record, on a two-vCPU VM under
-# Python 3.11; the script leaves them out, and any other that takes that long
-SLOW = {("random", 123), ("annotated", 47)}
 
 PREDICATES = (("p", 1), ("q", 1), ("r", 2), ("s", 0))
 HEAD_VARS = ("X", "Y", "Z")
@@ -427,8 +423,6 @@ if __name__ == "__main__":
     for family, count in FAMILIES.items():
         total = totals[family] = Counter(dict.fromkeys(COUNTED, 0))
         for seed in range(count):
-            if (family, seed) in SLOW:
-                continue
             signal.setitimer(signal.ITIMER_REAL, 1.0)
             try:
                 with exact_checks() as counts:

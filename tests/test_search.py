@@ -209,12 +209,12 @@ def test_lockstep_reports_states_diverging_after_the_drain(monkeypatch):
 
 def test_lockstep_reports_different_firings(monkeypatch):
     # from the second node on the fused side finds no firing
-    successors = annotated.successors
+    firings = annotated.firings
 
-    def first_node_only(program, cfg, fresh=None):
-        return successors(program, cfg, fresh) if cfg.counter < 2 else []
+    def first_node_only(program, cfg, fresh=None, first=False):
+        return firings(program, cfg, fresh, first) if cfg.counter < 2 else []
 
-    monkeypatch.setattr(annotated, "successors", first_node_only)
+    monkeypatch.setattr(annotated, "firings", first_node_only)
     report = lockstep_run(load("mau"), parse_goal("X=a, p(X)"))
     assert not report.aligned
     assert report.mismatch == "firings differ at node 2: [(1, (2,))] vs []"
